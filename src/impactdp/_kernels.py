@@ -1,20 +1,14 @@
-"""Hot numeric paths for the grid solver.
-
-Two implementations of the per-node grid sweep live here: a scalar version
-compiled with numba (parallel over states) and a vectorized pure-numpy
-fallback.  The fallback is selected when numba is unavailable or when
-``IMPACTDP_NO_NUMBA=1`` is set.  Both are written against the identical
-per-element operation sequence (same transition arithmetic, same interpolation
-form, same tie-break), so they produce the same bits; a test pins that.
+"""Hot numeric paths for the grid solver: vectorized NumPy sweeps.
 
 A sweep optimizes, for every grid state (xi, zeta, x), the one-step objective
 
     v(h) = sum_c p_c * continuation_c(xi', zeta', x')
 
-where the child transition is zeta' = decay * zeta + |h|/delta_c,
-xi' = xi - P_c*h - zeta'*|h|, x' = x + h.  The continuation is either the
-closed-form forced liquidation into the leaves (children at the last decision
-date) or clamped multilinear interpolation into the child's value grid.
+where (xi', zeta') is the child's ``dynamics.transition`` after trading h and
+x' = x + h.  The continuation is either the closed-form forced liquidation
+into the leaves (children at the last decision date) or clamped multilinear
+interpolation into the child's value grid.  All states of a node are swept at
+once as flat arrays; each candidate trade costs one array pass per child.
 
 A sweep runs in two phases.  Phase one searches, per state, for a truncation
 bound K = k0 * k_factor**n such that the candidates at h = +-K both fall below
@@ -32,374 +26,29 @@ neighbouring states truncate at different bounds.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from .dynamics import transition
+from .utility import evaluate_utility
+
 __all__ = [
-    "NUMBA_ENABLED",
     "BACKEND",
     "U_FLOOR",
-    "set_threads",
     "sweep_exact",
     "sweep_grid",
-    "sweep_exact_numpy",
-    "sweep_grid_numpy",
     "forced_layer",
-    "u_scalar",
-    "interp3_scalar",
 ]
+
+# the only numeric backend; benchmark reports record it
+BACKEND = "numpy"
 
 # utilities are floored here so interpolation never forms 0 * inf
 U_FLOOR = -1e300
 
-_DISABLED = os.environ.get("IMPACTDP_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by IMPACTDP_NO_NUMBA")
-    import numba as _numba
-    from numba import njit as _njit, prange as _prange
-
-    NUMBA_ENABLED = True
-except ImportError:
-    _numba = None
-    NUMBA_ENABLED = False
-    _prange = range
-
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-
-def set_threads(n: int) -> None:
-    """Cap numba's thread count (no-op on the numpy path)."""
-    if NUMBA_ENABLED:
-        limit = _numba.config.NUMBA_NUM_THREADS
-        _numba.set_num_threads(max(1, min(int(n), limit)))
-
-
-# -- scalar building blocks (compiled when numba is on) ---------------------
-
-
-@_njit(cache=True)
-def _u_scalar(code, a, xs, ys, w):
-    if code == 0:
-        v = -np.exp(-a * w)
-    elif code == 1:
-        v = w if w < a else a
-    else:
-        n = xs.shape[0]
-        if w <= xs[0]:
-            v = ys[0] + (w - xs[0])
-        elif w >= xs[n - 1]:
-            v = ys[n - 1]
-        else:
-            lo = 0
-            hi = n - 1
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if xs[mid] <= w:
-                    lo = mid
-                else:
-                    hi = mid
-            f = (w - xs[lo]) / (xs[lo + 1] - xs[lo])
-            v = ys[lo] * (1.0 - f) + ys[lo + 1] * f
-    if v < U_FLOOR:
-        v = U_FLOOR
-    return v
-
-
-@_njit(cache=True)
-def _interp3_scalar(grid, xg, zg, xxg, xi, ze, xx):
-    # uniform axes for the index, actual node values for the fractions, so a
-    # query exactly at a node reproduces the stored value
-    nx = xg.shape[0]
-    nz = zg.shape[0]
-    nxx = xxg.shape[0]
-    t = (xi - xg[0]) / ((xg[nx - 1] - xg[0]) / (nx - 1))
-    if t < 0.0:
-        t = 0.0
-    i = int(t)
-    if i > nx - 2:
-        i = nx - 2
-    fi = (xi - xg[i]) / (xg[i + 1] - xg[i])
-    if fi < 0.0:
-        fi = 0.0
-    elif fi > 1.0:
-        fi = 1.0
-    t = (ze - zg[0]) / ((zg[nz - 1] - zg[0]) / (nz - 1))
-    if t < 0.0:
-        t = 0.0
-    j = int(t)
-    if j > nz - 2:
-        j = nz - 2
-    fj = (ze - zg[j]) / (zg[j + 1] - zg[j])
-    if fj < 0.0:
-        fj = 0.0
-    elif fj > 1.0:
-        fj = 1.0
-    t = (xx - xxg[0]) / ((xxg[nxx - 1] - xxg[0]) / (nxx - 1))
-    if t < 0.0:
-        t = 0.0
-    k = int(t)
-    if k > nxx - 2:
-        k = nxx - 2
-    fk = (xx - xxg[k]) / (xxg[k + 1] - xxg[k])
-    if fk < 0.0:
-        fk = 0.0
-    elif fk > 1.0:
-        fk = 1.0
-    w00 = grid[i, j, k] * (1.0 - fi) + grid[i + 1, j, k] * fi
-    w10 = grid[i, j + 1, k] * (1.0 - fi) + grid[i + 1, j + 1, k] * fi
-    w01 = grid[i, j, k + 1] * (1.0 - fi) + grid[i + 1, j, k + 1] * fi
-    w11 = grid[i, j + 1, k + 1] * (1.0 - fi) + grid[i + 1, j + 1, k + 1] * fi
-    w0 = w00 * (1.0 - fj) + w10 * fj
-    w1 = w01 * (1.0 - fj) + w11 * fj
-    return w0 * (1.0 - fk) + w1 * fk
-
-
-@_njit(cache=True)
-def _cand_exact(xi, ze, xx, h, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z):
-    ah = abs(h)
-    x1 = xx + h
-    g = -x1
-    ag = abs(g)
-    tot = 0.0
-    for c in range(cp.shape[0]):
-        ze1 = decay * ze + ah / cdelta[c]
-        xi1 = xi - cP[c] * h - ze1 * ah
-        acc = 0.0
-        for q in range(goff[c], goff[c + 1]):
-            ze2 = cdecay[c] * ze1 + ag / gd[q]
-            xi2 = xi1 - gP[q] * g - ze2 * ag
-            acc += gp[q] * _u_scalar(ucode, ua, uxs, uys, z + xi2 - gB[q])
-        tot += cp[c] * acc
-    return tot
-
-
-@_njit(cache=True)
-def _cand_grid(xi, ze, xx, h, decay, cp, cP, cdelta, grids, gxi, gze, gxx):
-    # gxi/gze/gxx are the axes the child grids live on; they match the swept
-    # states in the backward pass but not in exact-state one-step calls
-    ah = abs(h)
-    x1 = xx + h
-    tot = 0.0
-    for c in range(cp.shape[0]):
-        ze1 = decay * ze + ah / cdelta[c]
-        xi1 = xi - cP[c] * h - ze1 * ah
-        tot += cp[c] * _interp3_scalar(grids[c], gxi, gze, gxx, xi1, ze1, x1)
-    return tot
-
-
-@_njit(cache=True)
-def _ksearch_exact(xi, ze, xx, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z, k0, kfac, kmax):
-    v0 = _cand_exact(xi, ze, xx, 0.0, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z)
-    big = k0
-    nexp = 0
-    warned = 1
-    vp_prev = 0.0
-    vm_prev = 0.0
-    while True:
-        vp = _cand_exact(xi, ze, xx, big, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z)
-        vm = _cand_exact(xi, ze, xx, -big, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z)
-        if vp <= v0 and vm <= v0:
-            warned = 0
-            break
-        if nexp > 0 and vp == vp_prev and vm == vm_prev:
-            break
-        if nexp >= kmax:
-            break
-        vp_prev = vp
-        vm_prev = vm
-        big = big * kfac
-        nexp += 1
-    return big, v0, nexp, warned
-
-
-@_njit(cache=True)
-def _ksearch_grid(xi, ze, xx, decay, cp, cP, cdelta, grids, gxi, gze, gxx, k0, kfac, kmax):
-    v0 = _cand_grid(xi, ze, xx, 0.0, decay, cp, cP, cdelta, grids, gxi, gze, gxx)
-    big = k0
-    nexp = 0
-    warned = 1
-    vp_prev = 0.0
-    vm_prev = 0.0
-    while True:
-        vp = _cand_grid(xi, ze, xx, big, decay, cp, cP, cdelta, grids, gxi, gze, gxx)
-        vm = _cand_grid(xi, ze, xx, -big, decay, cp, cP, cdelta, grids, gxi, gze, gxx)
-        if vp <= v0 and vm <= v0:
-            warned = 0
-            break
-        if nexp > 0 and vp == vp_prev and vm == vm_prev:
-            break
-        if nexp >= kmax:
-            break
-        vp_prev = vp
-        vm_prev = vm
-        big = big * kfac
-        nexp += 1
-    return big, v0, nexp, warned
-
-
-@_njit(cache=True)
-def _scan_exact(xi, ze, xx, big, v0, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z, n_act):
-    m = (n_act - 1) // 2
-    best_v = v0
-    best_h = 0.0
-    best_a = 0.0
-    best_s = 0
-    for iact in range(n_act):
-        h = big * ((iact - m) / m)
-        if iact == m:
-            v = v0
-        else:
-            v = _cand_exact(xi, ze, xx, h, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z)
-        a = abs(h)
-        s = 1 if h > 0.0 else 0
-        if v > best_v or (v == best_v and (a < best_a or (a == best_a and s < best_s))):
-            best_v = v
-            best_h = h
-            best_a = a
-            best_s = s
-    return best_h, best_v
-
-
-@_njit(cache=True)
-def _scan_grid(xi, ze, xx, big, v0, decay, cp, cP, cdelta, grids, gxi, gze, gxx, n_act):
-    m = (n_act - 1) // 2
-    best_v = v0
-    best_h = 0.0
-    best_a = 0.0
-    best_s = 0
-    for iact in range(n_act):
-        h = big * ((iact - m) / m)
-        if iact == m:
-            v = v0
-        else:
-            v = _cand_grid(xi, ze, xx, h, decay, cp, cP, cdelta, grids, gxi, gze, gxx)
-        a = abs(h)
-        s = 1 if h > 0.0 else 0
-        if v > best_v or (v == best_v and (a < best_a or (a == best_a and s < best_s))):
-            best_v = v
-            best_h = h
-            best_a = a
-            best_s = s
-    return best_h, best_v
-
-
-@_njit(cache=True, parallel=True)
-def _sweep_exact_nb(xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z, k0, kfac, kmax, n_act):
-    nx = xg.shape[0]
-    nz = zg.shape[0]
-    nxx = xxg.shape[0]
-    v0s = np.empty((nx, nz, nxx))
-    bigs = np.empty((nx, nz, nxx))
-    nexp = np.zeros((nx, nz, nxx), dtype=np.int64)
-    warn = np.zeros((nx, nz, nxx), dtype=np.int64)
-    for s in _prange(nx * nz * nxx):
-        i = s // (nz * nxx)
-        rem = s % (nz * nxx)
-        j = rem // nxx
-        k = rem % nxx
-        b, v0, e, w = _ksearch_exact(
-            xg[i], zg[j], xxg[k], decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB,
-            ucode, ua, uxs, uys, z, k0, kfac, kmax,
-        )
-        bigs[i, j, k] = b
-        v0s[i, j, k] = v0
-        nexp[i, j, k] = e
-        warn[i, j, k] = w
-    big = bigs.max()
-    values = np.empty((nx, nz, nxx))
-    policy = np.empty((nx, nz, nxx))
-    for s in _prange(nx * nz * nxx):
-        i = s // (nz * nxx)
-        rem = s % (nz * nxx)
-        j = rem // nxx
-        k = rem % nxx
-        h, v = _scan_exact(
-            xg[i], zg[j], xxg[k], big, v0s[i, j, k], decay, cp, cP, cdelta, cdecay,
-            goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z, n_act,
-        )
-        values[i, j, k] = v
-        policy[i, j, k] = h
-    return values, policy, nexp, warn
-
-
-@_njit(cache=True, parallel=True)
-def _sweep_grid_nb(xg, zg, xxg, decay, cp, cP, cdelta, grids, gxi, gze, gxx, k0, kfac, kmax, n_act):
-    nx = xg.shape[0]
-    nz = zg.shape[0]
-    nxx = xxg.shape[0]
-    v0s = np.empty((nx, nz, nxx))
-    bigs = np.empty((nx, nz, nxx))
-    nexp = np.zeros((nx, nz, nxx), dtype=np.int64)
-    warn = np.zeros((nx, nz, nxx), dtype=np.int64)
-    for s in _prange(nx * nz * nxx):
-        i = s // (nz * nxx)
-        rem = s % (nz * nxx)
-        j = rem // nxx
-        k = rem % nxx
-        b, v0, e, w = _ksearch_grid(
-            xg[i], zg[j], xxg[k], decay, cp, cP, cdelta, grids, gxi, gze, gxx,
-            k0, kfac, kmax,
-        )
-        bigs[i, j, k] = b
-        v0s[i, j, k] = v0
-        nexp[i, j, k] = e
-        warn[i, j, k] = w
-    big = bigs.max()
-    values = np.empty((nx, nz, nxx))
-    policy = np.empty((nx, nz, nxx))
-    for s in _prange(nx * nz * nxx):
-        i = s // (nz * nxx)
-        rem = s % (nz * nxx)
-        j = rem // nxx
-        k = rem % nxx
-        h, v = _scan_grid(
-            xg[i], zg[j], xxg[k], big, v0s[i, j, k], decay, cp, cP, cdelta, grids,
-            gxi, gze, gxx, n_act,
-        )
-        values[i, j, k] = v
-        policy[i, j, k] = h
-    return values, policy, nexp, warn
-
-
-# -- vectorized numpy fallback ---------------------------------------------
-
-
-def _u_numpy(code, a, xs, ys, w):
-    w = np.asarray(w)
-    if code == 0:
-        with np.errstate(over="ignore"):
-            v = -np.exp(-a * w)
-    elif code == 1:
-        v = np.minimum(w, a)
-    else:
-        n = xs.shape[0]
-        v = np.empty_like(w)
-        below = w <= xs[0]
-        above = w >= xs[n - 1]
-        mid = ~(below | above)
-        v[below] = ys[0] + (w[below] - xs[0])
-        v[above] = ys[n - 1]
-        if np.any(mid):
-            lo = np.clip(np.searchsorted(xs, w[mid], side="right") - 1, 0, n - 2)
-            f = (w[mid] - xs[lo]) / (xs[lo + 1] - xs[lo])
-            v[mid] = ys[lo] * (1.0 - f) + ys[lo + 1] * f
-    return np.maximum(v, U_FLOOR)
-
 
 def _axis_lookup(vals, grid):
+    # uniform axes for the index, actual node values for the fractions, so a
+    # query exactly at a node reproduces the stored value
     n = grid.shape[0]
     t = (vals - grid[0]) / ((grid[n - 1] - grid[0]) / (n - 1))
     idx = np.clip(np.floor(t), 0, n - 2).astype(np.int64)
@@ -407,7 +56,8 @@ def _axis_lookup(vals, grid):
     return idx, f
 
 
-def _interp3_numpy(grid, xg, zg, xxg, xi, ze, xx):
+def _interp3(grid, xg, zg, xxg, xi, ze, xx):
+    """Clamped multilinear interpolation of ``grid`` on the axes xg, zg, xxg."""
     i, fi = _axis_lookup(xi, xg)
     j, fj = _axis_lookup(ze, zg)
     k, fk = _axis_lookup(xx, xxg)
@@ -420,41 +70,12 @@ def _interp3_numpy(grid, xg, zg, xxg, xi, ze, xx):
     return w0 * (1.0 - fk) + w1 * fk
 
 
-def _cand_exact_np(XI, ZE, XX, H, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z):
-    AH = np.abs(H)
-    X1 = XX + H
-    G = -X1
-    AG = np.abs(G)
-    tot = np.zeros(np.broadcast(XI, H).shape)
-    for c in range(cp.shape[0]):
-        ZE1 = decay * ZE + AH / cdelta[c]
-        XI1 = XI - cP[c] * H - ZE1 * AH
-        acc = np.zeros_like(tot)
-        for q in range(goff[c], goff[c + 1]):
-            ZE2 = cdecay[c] * ZE1 + AG / gd[q]
-            XI2 = XI1 - gP[q] * G - ZE2 * AG
-            acc += gp[q] * _u_numpy(ucode, ua, uxs, uys, z + XI2 - gB[q])
-        tot += cp[c] * acc
-    return tot
-
-
-def _cand_grid_np(XI, ZE, XX, H, decay, cp, cP, cdelta, grids, gxi, gze, gxx):
-    AH = np.abs(H)
-    X1 = XX + H
-    tot = np.zeros(np.broadcast(XI, H).shape)
-    for c in range(cp.shape[0]):
-        ZE1 = decay * ZE + AH / cdelta[c]
-        XI1 = XI - cP[c] * H - ZE1 * AH
-        tot += cp[c] * _interp3_numpy(grids[c], gxi, gze, gxx, XI1, ZE1, X1)
-    return tot
-
-
-def _sweep_np(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
+def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
     """Shared state-vectorized optimizer; ``cand`` maps trade vector to values.
 
-    Matches the scalar backend round for round: per-state bound search with the
-    dominance, plateau, and max-expansion exits in that order, then one scan of
-    all states over the action set built from the layer-wide maximum bound.
+    Per-state bound search with the dominance, plateau, and max-expansion
+    exits in that order, then one scan of all states over the action set built
+    from the layer-wide maximum bound.
     """
     nx = xg.shape[0]
     nz = zg.shape[0]
@@ -515,48 +136,50 @@ def _sweep_np(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
     return (best_v.reshape(shape), best_h.reshape(shape), nexp.reshape(shape), warn.reshape(shape))
 
 
-def sweep_exact_numpy(xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z, k0, kfac, kmax, n_act):
-    def cand(XI, ZE, XX, H):
-        return _cand_exact_np(XI, ZE, XX, H, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z)
-
-    return _sweep_np(cand, xg, zg, xxg, k0, kfac, kmax, n_act)
-
-
-def sweep_grid_numpy(xg, zg, xxg, decay, cp, cP, cdelta, grids, gxi, gze, gxx, k0, kfac, kmax, n_act):
-    def cand(XI, ZE, XX, H):
-        return _cand_grid_np(XI, ZE, XX, H, decay, cp, cP, cdelta, grids, gxi, gze, gxx)
-
-    return _sweep_np(cand, xg, zg, xxg, k0, kfac, kmax, n_act)
-
-
-# -- public dispatch --------------------------------------------------------
-
-
 def sweep_exact(xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z, k0, kfac, kmax, n_act):
     """Sweep a node whose children sit at the last decision date."""
-    if NUMBA_ENABLED:
-        return _sweep_exact_nb(
-            xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB,
-            ucode, ua, uxs, uys, z, k0, kfac, kmax, n_act,
-        )
-    return sweep_exact_numpy(
-        xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB,
-        ucode, ua, uxs, uys, z, k0, kfac, kmax, n_act,
-    )
+
+    def cand(XI, ZE, XX, H):
+        AH = np.abs(H)
+        G = -(XX + H)
+        AG = np.abs(G)
+        tot = np.zeros(np.broadcast(XI, H).shape)
+        for c in range(cp.shape[0]):
+            XI1, ZE1 = transition(XI, ZE, H, AH, decay, cP[c], cdelta[c])
+            acc = np.zeros_like(tot)
+            for q in range(goff[c], goff[c + 1]):
+                XI2, _ = transition(XI1, ZE1, G, AG, cdecay[c], gP[q], gd[q])
+                acc += gp[q] * evaluate_utility(ucode, ua, uxs, uys, z + XI2 - gB[q], U_FLOOR)
+            tot += cp[c] * acc
+        return tot
+
+    return _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act)
 
 
 def sweep_grid(xg, zg, xxg, decay, cp, cP, cdelta, grids, gxi, gze, gxx, k0, kfac, kmax, n_act):
-    """Sweep a node whose children carry value grids on the g* axes."""
-    if NUMBA_ENABLED:
-        return _sweep_grid_nb(xg, zg, xxg, decay, cp, cP, cdelta, grids, gxi, gze, gxx, k0, kfac, kmax, n_act)
-    return sweep_grid_numpy(xg, zg, xxg, decay, cp, cP, cdelta, grids, gxi, gze, gxx, k0, kfac, kmax, n_act)
+    """Sweep a node whose children carry value grids on the g* axes.
+
+    The g* axes match the swept states in the backward pass but not in
+    exact-state one-step calls.
+    """
+
+    def cand(XI, ZE, XX, H):
+        AH = np.abs(H)
+        X1 = XX + H
+        tot = np.zeros(np.broadcast(XI, H).shape)
+        for c in range(cp.shape[0]):
+            XI1, ZE1 = transition(XI, ZE, H, AH, decay, cP[c], cdelta[c])
+            tot += cp[c] * _interp3(grids[c], gxi, gze, gxx, XI1, ZE1, X1)
+        return tot
+
+    return _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act)
 
 
 def forced_layer(xg, zg, xxg, decay, lp, lP, ld, lB, ucode, ua, uxs, uys, z):
     """Values and forced policy at a last-decision-date node (no optimization).
 
     The trade is pinned to -x; the value is the expected utility over the
-    node's leaves.  Vectorized numpy on both backends.
+    node's leaves.
     """
     XI = xg[:, None, None]
     ZE = zg[None, :, None]
@@ -567,18 +190,7 @@ def forced_layer(xg, zg, xxg, decay, lp, lP, ld, lB, ucode, ua, uxs, uys, z):
     values = np.zeros(shape)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for q in range(lp.shape[0]):
-            ZE2 = decay * ZE + AG / ld[q]
-            XI2 = XI - lP[q] * G - ZE2 * AG
-            values = values + lp[q] * _u_numpy(ucode, ua, uxs, uys, z + XI2 - lB[q])
+            XI2, _ = transition(XI, ZE, G, AG, decay, lP[q], ld[q])
+            values = values + lp[q] * evaluate_utility(ucode, ua, uxs, uys, z + XI2 - lB[q], U_FLOOR)
     policy = np.broadcast_to(G, shape).copy()
     return values, policy
-
-
-def u_scalar(code, a, xs, ys, w):
-    """Scalar utility as the kernels see it (floored at U_FLOOR)."""
-    return float(_u_scalar(code, a, xs, ys, float(w)))
-
-
-def interp3_scalar(grid, xg, zg, xxg, xi, ze, xx):
-    """Scalar clamped multilinear interpolation, kernel semantics."""
-    return float(_interp3_scalar(grid, xg, zg, xxg, float(xi), float(ze), float(xx)))

@@ -18,6 +18,7 @@ from .analysis import indirect_utility_demo, nonconvexity_demo
 from .oracle import ActionGrid, CapacityError, brute_force_solve, history_dp
 from .solver import SolveConfig, SolverNumericError, evaluate_strategy, solve
 from .tree import (
+    PRESET_NAMES,
     PredictableAssignment,
     ScenarioTree,
     generate,
@@ -28,13 +29,11 @@ from .utility import check_assumptions, parse_utility
 
 __all__ = ["main"]
 
-GEN_NAMES = ("det-example", "zero-price", "binomial", "notconvex")
-
 
 def _add_source(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--tree", metavar="PATH", help="scenario tree JSON file")
-    g.add_argument("--gen", choices=GEN_NAMES, help="generate a built-in tree")
+    g.add_argument("--gen", choices=PRESET_NAMES, help="generate a built-in tree")
     p.add_argument(
         "--seed",
         type=int,
@@ -91,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("gen-tree", help="write a built-in scenario tree as JSON")
-    p.add_argument("--gen", choices=GEN_NAMES, required=True)
+    p.add_argument("--gen", choices=PRESET_NAMES, required=True)
     p.add_argument("--seed", type=int, metavar="INT")
     p.add_argument("--out", metavar="PATH")
 

@@ -7,7 +7,9 @@ state carried between trading dates is (cash xi, half-spread zeta, position x):
     zeta_{t+1} = exp(-r_t) * zeta_t + |dx| / delta_{t+1}
     xi_{t+1}   = xi_t - P_{t+1} * dx - zeta_{t+1} * |dx|
 
-with midprice P, resilience r >= 0 and book depth delta > 0.  Unwinding the
+with midprice P, resilience r >= 0 and book depth delta > 0.  ``transition``
+is the one implementation of this step; the solver's grid sweeps and its walks
+over exact states all call it.  Unwinding the
 spread recursion gives a closed form for the cash generated by the trade at
 date t (``cash_innovation``), and terminal wealth is the sum of those
 innovations.  Both routes are implemented and must agree to float precision;
@@ -27,6 +29,7 @@ __all__ = [
     "TradeSequence",
     "ImpactState",
     "decay_factor",
+    "transition",
     "spread_step",
     "cash_step",
     "cash_innovation",
@@ -191,6 +194,18 @@ def decay_factor(r: Sequence[float], j: int, t: int) -> float:
     return math.exp(-acc)
 
 
+def transition(xi, zeta, dx, adx, decay, price, depth):
+    """One resilience step of the book: (xi', zeta') after trading dx.
+
+    zeta' = decay * zeta + |dx| / depth and xi' = xi - price * dx - zeta' * |dx|,
+    with ``adx`` the precomputed |dx|.  Takes Python floats or broadcastable
+    arrays and performs the same operations in the same order on both, so the
+    grid sweeps and the scalar walks over exact states produce the same bits.
+    """
+    zeta_next = decay * zeta + adx / depth
+    return xi - price * dx - zeta_next * adx, zeta_next
+
+
 def spread_step(zeta: float, r_t: float, delta_next: float, dx: float) -> float:
     """One step of the half-spread recursion: decay, then widen by |dx|/depth."""
     if zeta < 0.0:
@@ -199,14 +214,15 @@ def spread_step(zeta: float, r_t: float, delta_next: float, dx: float) -> float:
         raise ValueError("resilience r must be nonnegative")
     if delta_next <= 0.0:
         raise ValueError("depth delta must be positive")
-    return math.exp(-r_t) * zeta + abs(dx) / delta_next
+    return transition(0.0, zeta, dx, abs(dx), math.exp(-r_t), 0.0, delta_next)[1]
 
 
 def cash_step(xi: float, p_next: float, zeta_next: float, dx: float) -> float:
     """Cash after trading dx at midprice p_next against half-spread zeta_next."""
     if zeta_next < 0.0:
         raise ValueError("half-spread zeta must be nonnegative")
-    return xi - p_next * dx - zeta_next * abs(dx)
+    # zeta_next is already the post-trade spread: no decay, infinite depth
+    return transition(xi, zeta_next, dx, abs(dx), 1.0, p_next, math.inf)[0]
 
 
 def _kappa_core(
@@ -296,10 +312,9 @@ def terminal_wealth_recursive(
 ) -> RecursiveWealth:
     """Terminal cash via the state recursion; also returns the spread trace.
 
-    Starts from (xi, zeta) = (0, zeta0) and applies ``spread_step`` and
-    ``cash_step`` date by date.  Agrees with ``terminal_wealth_explicit`` to
-    float rounding; the pair is the package's first line of defense against
-    index slips in either form.
+    Starts from (xi, zeta) = (0, zeta0) and applies ``transition`` date by
+    date.  Agrees with ``terminal_wealth_explicit`` to float rounding; the pair
+    is the package's first line of defense against index slips in either form.
     """
     h = trades.h if isinstance(trades, TradeSequence) else _as_float_array(trades, "h")
     if h.shape[0] != path.T:
@@ -309,7 +324,7 @@ def terminal_wealth_recursive(
     spreads = np.empty(path.T, dtype=np.float64)
     for t in range(path.T):
         dx = float(h[t])
-        zeta = spread_step(zeta, float(path.r[t]), float(path.delta[t]), dx)
-        xi = cash_step(xi, float(path.P[t + 1]), zeta, dx)
+        decay = math.exp(-float(path.r[t]))
+        xi, zeta = transition(xi, zeta, dx, abs(dx), decay, float(path.P[t + 1]), float(path.delta[t]))
         spreads[t] = zeta
     return RecursiveWealth(xi, spreads)

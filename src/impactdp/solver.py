@@ -19,16 +19,15 @@ what makes oracle cross-checks exact rather than approximate.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .dynamics import _kappa_core, closing_trade
+from .dynamics import _kappa_core, closing_trade, transition
 from .tree import PredictableAssignment, ScenarioTree, TreeNode
-from .utility import UtilitySpec
+from .utility import UtilitySpec, evaluate_utility
 
 __all__ = [
     "MarketState",
@@ -236,15 +235,6 @@ def _pack_grids(tree: ScenarioTree, node: TreeNode, layers: Mapping[int, NodeGri
     return cp, cP, cdelta, grids
 
 
-def _configure_threads() -> None:
-    raw = os.environ.get("IMPACTDP_THREADS", "").strip()
-    if raw:
-        try:
-            _kernels.set_threads(int(raw))
-        except ValueError:
-            raise ValueError(f"IMPACTDP_THREADS must be an integer, got {raw!r}")
-
-
 # -- backward induction -----------------------------------------------------
 
 
@@ -258,7 +248,6 @@ def backward_induce(
     ``SolverNumericError`` if any finished layer contains NaN or +inf.
     """
     config = config or SolveConfig()
-    _configure_threads()
     axes = config.resolve_axes(tree)
     ucode, ua, uxs, uys = u.kernel_encoding()
     z = float(z)
@@ -267,8 +256,8 @@ def backward_induce(
     for t in range(tree.T, -1, -1):
         for node in tree.nodes_at(t):
             if t == tree.T:
-                wealth = z + axes.xi[:, None, None] - node.B
-                vals = _kernels._u_numpy(ucode, ua, uxs, uys, np.broadcast_to(wealth, shape).copy())
+                wealth = np.broadcast_to(z + axes.xi[:, None, None] - node.B, shape).copy()
+                vals = evaluate_utility(ucode, ua, uxs, uys, wealth, _kernels.U_FLOOR)
                 grid = NodeGrid(node.id, t, vals, np.zeros(shape))
             elif t == tree.T - 1:
                 lp, lP, ld, lB = _leaf_arrays(tree, node)
@@ -370,9 +359,8 @@ def _forced_value(tree, node, state, g, ucode, ua, uxs, uys, z):
     acc = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for leaf in tree.children(node.id):
-            ze2 = decay * state.zeta + ag / leaf.delta
-            xi2 = state.xi - leaf.P * g - ze2 * ag
-            acc += leaf.p * _kernels.u_scalar(ucode, ua, uxs, uys, z + xi2 - leaf.B)
+            xi2, _ = transition(state.xi, state.zeta, g, ag, decay, leaf.P, leaf.delta)
+            acc += leaf.p * float(evaluate_utility(ucode, ua, uxs, uys, z + xi2 - leaf.B, _kernels.U_FLOOR))
     return acc
 
 
@@ -409,8 +397,7 @@ def forward_extract(
         ah = abs(h)
         decay = math.exp(-node.r)
         for child in tree.children(node.id):
-            ze1 = decay * state.zeta + ah / child.delta
-            xi1 = state.xi - child.P * h - ze1 * ah
+            xi1, ze1 = transition(state.xi, state.zeta, h, ah, decay, child.P, child.delta)
             descend(child, MarketState(xi1, ze1, state.x + h), trades + (h,))
 
     descend(tree.root, MarketState(0.0, tree.zeta0, 0.0), ())
@@ -539,8 +526,7 @@ def exact_state_dp(
         ah = abs(h)
         acc = 0.0
         for child in tree.children(node.id):
-            ze1 = decay * zeta + ah / child.delta
-            xi1 = xi - child.P * h - ze1 * ah
+            xi1, ze1 = transition(xi, zeta, h, ah, decay, child.P, child.delta)
             acc += child.p * value(child, xi1, ze1, x + h)
         return acc
 
@@ -557,8 +543,7 @@ def exact_state_dp(
         decay = math.exp(-node.r)
         ah = abs(h)
         for child in tree.children(node.id):
-            ze1 = decay * zeta + ah / child.delta
-            xi1 = xi - child.P * h - ze1 * ah
+            xi1, ze1 = transition(xi, zeta, h, ah, decay, child.P, child.delta)
             extract(child, xi1, ze1, x + h)
 
     extract(tree.root, 0.0, tree.zeta0, 0.0)

@@ -9,13 +9,14 @@ is never assumed anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "UtilitySpec",
+    "evaluate_utility",
     "exponential",
     "capped_linear",
     "piecewise_linear",
@@ -25,6 +26,35 @@ __all__ = [
 ]
 
 _FAMILIES = ("exp", "cap", "pwl")
+
+
+def evaluate_utility(code: int, a: float, xs: np.ndarray, ys: np.ndarray, w, floor: float | None):
+    """Utility of wealth ``w`` (a float or an array) for an encoded family.
+
+    ``(code, a, xs, ys)`` is the tuple ``UtilitySpec.kernel_encoding`` returns.
+    With ``floor=None`` the value is exact, and the exponential family may
+    reach -inf, which the oracles need to rank arbitrarily bad strategies.  The
+    grid kernels pass a finite floor so interpolation never forms 0 * inf.
+    """
+    if code == 0:
+        with np.errstate(over="ignore"):
+            v = -np.exp(-a * w)
+    elif code == 1:
+        v = np.minimum(w, a)
+    else:
+        w = np.asarray(w)
+        n = xs.shape[0]
+        v = np.empty_like(w)
+        below = w <= xs[0]
+        above = w >= xs[n - 1]
+        mid = ~(below | above)
+        v[below] = ys[0] + (w[below] - xs[0])
+        v[above] = ys[n - 1]
+        if np.any(mid):
+            lo = np.clip(np.searchsorted(xs, w[mid], side="right") - 1, 0, n - 2)
+            f = (w[mid] - xs[lo]) / (xs[lo + 1] - xs[lo])
+            v[mid] = ys[lo] * (1.0 - f) + ys[lo + 1] * f
+    return v if floor is None else np.maximum(v, floor)
 
 
 @dataclass(frozen=True)
@@ -42,6 +72,7 @@ class UtilitySpec:
     alpha: float = 1.0
     cap: float = 0.0
     knots: tuple[tuple[float, float], ...] = ()
+    _encoding: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -54,6 +85,7 @@ class UtilitySpec:
             xs = [k[0] for k in self.knots]
             if any(b <= a for a, b in zip(xs, xs[1:])):
                 raise ValueError("knot x-coordinates must be strictly increasing")
+        object.__setattr__(self, "_encoding", self._encode())
 
     @property
     def c_u(self) -> float:
@@ -71,44 +103,27 @@ class UtilitySpec:
         than raising, so exhaustive oracles can rank arbitrarily bad
         strategies.
         """
-        arr = np.asarray(x, dtype=np.float64)
-        if self.family == "exp":
-            with np.errstate(over="ignore"):
-                out = -np.exp(-self.alpha * arr)
-        elif self.family == "cap":
-            out = np.minimum(arr, self.cap)
-        else:
-            out = self._eval_pwl(arr)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        w = x if isinstance(x, float) else np.asarray(x, dtype=np.float64)
+        out = evaluate_utility(*self._encoding, w, None)
+        return float(out) if np.ndim(out) == 0 else out
 
-    def _eval_pwl(self, arr: np.ndarray) -> np.ndarray:
-        xs = np.array([k[0] for k in self.knots], dtype=np.float64)
-        ys = np.array([k[1] for k in self.knots], dtype=np.float64)
-        n = xs.shape[0]
-        a = np.atleast_1d(arr)
-        out = np.empty_like(a)
-        below = a <= xs[0]
-        above = a >= xs[-1]
-        mid = ~(below | above)
-        out[below] = ys[0] + (a[below] - xs[0])
-        out[above] = ys[-1]
-        if np.any(mid):
-            lo = np.clip(np.searchsorted(xs, a[mid], side="right") - 1, 0, n - 2)
-            f = (a[mid] - xs[lo]) / (xs[lo + 1] - xs[lo])
-            out[mid] = ys[lo] * (1.0 - f) + ys[lo + 1] * f
-        return out.reshape(np.shape(arr))
+    def _encode(self) -> tuple[int, float, np.ndarray, np.ndarray]:
+        if self.family == "exp":
+            code, a, xs, ys = 0, float(self.alpha), np.zeros(1), np.zeros(1)
+        elif self.family == "cap":
+            code, a, xs, ys = 1, float(self.cap), np.zeros(1), np.zeros(1)
+        else:
+            xs = np.array([k[0] for k in self.knots], dtype=np.float64)
+            ys = np.array([k[1] for k in self.knots], dtype=np.float64)
+            code, a = 2, 0.0
+        # shared by every call, so nobody may write to them
+        xs.setflags(write=False)
+        ys.setflags(write=False)
+        return code, a, xs, ys
 
     def kernel_encoding(self) -> tuple[int, float, np.ndarray, np.ndarray]:
-        """(code, scalar parameter, knot xs, knot ys) for the numeric kernels."""
-        if self.family == "exp":
-            return 0, float(self.alpha), np.zeros(1), np.zeros(1)
-        if self.family == "cap":
-            return 1, float(self.cap), np.zeros(1), np.zeros(1)
-        xs = np.array([k[0] for k in self.knots], dtype=np.float64)
-        ys = np.array([k[1] for k in self.knots], dtype=np.float64)
-        return 2, 0.0, xs, ys
+        """(code, scalar parameter, knot xs, knot ys) for ``evaluate_utility``."""
+        return self._encoding
 
     def describe(self) -> str:
         """Canonical spec string, parseable by ``parse_utility``."""

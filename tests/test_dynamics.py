@@ -19,6 +19,7 @@ from impactdp.dynamics import (
     spread_step,
     terminal_wealth_explicit,
     terminal_wealth_recursive,
+    transition,
 )
 
 
@@ -70,6 +71,26 @@ def test_spread_step_uses_magnitude_of_trade():
 def test_cash_step_worked_value():
     # sell 2 at price 10 with half-spread 0.25: receive 20, pay 0.5 friction
     assert cash_step(1.0, 10.0, 0.25, -2.0) == 1.0 + 20.0 - 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-50, 50), st.floats(0, 5), st.floats(-10, 10), st.floats(0, 1), st.floats(-50, 50), st.floats(0.05, 20)
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_transition_same_bits_on_floats_and_arrays(rows):
+    # the grid sweeps run it on arrays, the exact-state walks on floats; the
+    # walks replay the sweeps only if both give the same bits
+    xi, zeta, dx, decay, price, depth = (np.array(col) for col in zip(*rows))
+    XI, ZE = transition(xi, zeta, dx, np.abs(dx), decay, price, depth)
+    for n, (a, b, h, d, p, q) in enumerate(rows):
+        x1, z1 = transition(a, b, h, abs(h), d, p, q)
+        assert (x1.hex(), z1.hex()) == (float(XI[n]).hex(), float(ZE[n]).hex())
 
 
 def test_path_decay_matches_decay_factor():
@@ -184,10 +205,13 @@ def test_recursive_spread_trace_matches_spread_step_fold(pt):
     path, h = pt
     rec = terminal_wealth_recursive(path, h)
     zeta = path.zeta0
+    xi = 0.0
     for t in range(1, path.T + 1):
         zeta = spread_step(zeta, float(path.r[t - 1]), float(path.delta[t - 1]), h[t - 1])
+        xi = cash_step(xi, float(path.P[t]), zeta, h[t - 1])
         assert rec.spreads[t - 1] == zeta
         assert zeta >= 0.0
+    assert rec.xi == xi
 
 
 def test_wealth_requires_full_trade_vector():

@@ -1,4 +1,4 @@
-"""Numeric kernels: both backends, interpolation, bound search, forced layer."""
+"""Numeric kernels: floored utility, interpolation, bound search, forced layer."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import impactdp._kernels as K
-from impactdp.utility import capped_linear, exponential
+from impactdp.utility import capped_linear, evaluate_utility, exponential, piecewise_linear
 
 
 def exp_encoding(alpha=1.0):
@@ -18,21 +18,6 @@ def small_axes():
     zg = np.linspace(0.0, 2.0, 5)
     xxg = np.linspace(-2.0, 2.0, 5)
     return xg, zg, xxg
-
-
-def exact_problem():
-    """Hand-packed two-children / four-leaves closed-form sweep input."""
-    decay = math.exp(-0.1)
-    cp = np.array([0.5, 0.5])
-    cP = np.array([1.2, 0.8])
-    cdelta = np.array([1.0, 2.0])
-    cdecay = np.array([math.exp(-0.2), math.exp(-0.3)])
-    goff = np.array([0, 2, 4], dtype=np.int64)
-    gp = np.array([0.6, 0.4, 0.5, 0.5])
-    gP = np.array([1.4, 1.0, 0.9, 0.6])
-    gd = np.array([1.5, 1.5, 2.0, 2.0])
-    gB = np.array([0.0, 0.1, 0.0, -0.1])
-    return decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB
 
 
 def grid_problem(rng, monotone=True):
@@ -51,33 +36,50 @@ def grid_problem(rng, monotone=True):
     return xg, zg, xxg, decay, cp, cP, cdelta, np.ascontiguousarray(grids)
 
 
-# -- scalar utility ----------------------------------------------------------
+# -- floored utility ---------------------------------------------------------
+
+
+def floored(u, w):
+    """Utility as the kernels see it: the shared evaluator with U_FLOOR."""
+    return evaluate_utility(*u.kernel_encoding(), w, K.U_FLOOR)
 
 
 def test_u_scalar_matches_family_formulas():
-    code, a, xs, ys = exp_encoding(2.0)
-    assert K.u_scalar(code, a, xs, ys, 0.5) == -math.exp(-1.0)
-    code, a, xs, ys = capped_linear(3.0).kernel_encoding()
-    assert K.u_scalar(code, a, xs, ys, 10.0) == 3.0
-    assert K.u_scalar(code, a, xs, ys, -2.0) == -2.0
+    u = exponential(2.0)
+    assert floored(u, 0.5) == -math.exp(-1.0) == u(0.5)
+    u = capped_linear(3.0)
+    assert floored(u, 10.0) == 3.0 == u(10.0)
+    assert floored(u, -2.0) == -2.0 == u(-2.0)
 
 
 def test_u_scalar_floors_instead_of_overflowing():
-    code, a, xs, ys = exp_encoding(1.0)
-    assert K.u_scalar(code, a, xs, ys, -800.0) == K.U_FLOOR
     assert K.U_FLOOR == -1e300
+    u = exponential(1.0)
+    assert floored(u, -800.0) == K.U_FLOOR
+    assert u(-800.0) == -math.inf  # only the kernel path clamps
     # capped utility floors too once wealth is absurd
-    code, a, xs, ys = capped_linear(0.0).kernel_encoding()
-    assert K.u_scalar(code, a, xs, ys, -2e300) == K.U_FLOOR
+    u = capped_linear(0.0)
+    assert floored(u, -2e300) == K.U_FLOOR
+    assert u(-2e300) == -2e300
+    u = piecewise_linear([(-1.0, -2.0), (0.0, 0.0)])
+    w = np.array([-2e300, -1e301, -3.0])
+    assert list(floored(u, w)) == [K.U_FLOOR, K.U_FLOOR, -4.0]
+    assert list(u(w)) == [-2e300, -1e301, -4.0]
 
 
 def test_u_scalar_piecewise_interpolates_between_knots():
-    from impactdp.utility import piecewise_linear
-
-    u = piecewise_linear([(-1.0, -2.0), (0.0, 0.0), (2.0, 1.0)])
-    code, a, xs, ys = u.kernel_encoding()
-    for w in (-5.0, -1.0, -0.25, 0.0, 1.0, 2.0, 9.0):
-        assert K.u_scalar(code, a, xs, ys, w) == u(w)
+    # above the floor the kernel path and UtilitySpec give the same bits, on
+    # scalars and on arrays, for every family
+    w = np.array([-30.0, -5.0, -1.0, -0.25, 0.0, 0.3, 1.0, 2.0, 9.0])
+    for u in (
+        piecewise_linear([(-1.0, -2.0), (0.0, 0.0), (2.0, 1.0)]),
+        piecewise_linear([(0.5, 0.25)]),
+        exponential(1.3),
+        capped_linear(0.7),
+    ):
+        assert floored(u, w).tobytes() == u(w).tobytes()
+        for x in w:
+            assert floored(u, float(x)) == u(float(x))
 
 
 # -- interpolation -----------------------------------------------------------
@@ -87,19 +89,17 @@ def test_interp_reproduces_grid_nodes_bitwise():
     rng = np.random.default_rng(0)
     xg, zg, xxg = small_axes()
     grid = rng.normal(size=(xg.size, zg.size, xxg.size))
-    for i in (0, 3, 8):
-        for j in (0, 2, 4):
-            for k in (0, 1, 4):
-                got = K.interp3_scalar(grid, xg, zg, xxg, xg[i], zg[j], xxg[k])
-                assert got == grid[i, j, k]
+    i, j, k = np.meshgrid([0, 3, 8], [0, 2, 4], [0, 1, 4], indexing="ij")
+    got = K._interp3(grid, xg, zg, xxg, xg[i], zg[j], xxg[k])
+    assert np.array_equal(got, grid[i, j, k])
 
 
 def test_interp_clamps_outside_the_box():
     rng = np.random.default_rng(1)
     xg, zg, xxg = small_axes()
     grid = rng.normal(size=(xg.size, zg.size, xxg.size))
-    inside = K.interp3_scalar(grid, xg, zg, xxg, xg[0], zg[-1], xxg[0])
-    outside = K.interp3_scalar(grid, xg, zg, xxg, xg[0] - 50.0, zg[-1] + 9.0, xxg[0] - 1.0)
+    inside = K._interp3(grid, xg, zg, xxg, xg[0], zg[-1], xxg[0])
+    outside = K._interp3(grid, xg, zg, xxg, xg[0] - 50.0, zg[-1] + 9.0, xxg[0] - 1.0)
     assert outside == inside
 
 
@@ -110,8 +110,8 @@ def test_interp_preserves_monotone_data_along_xi():
     queries = np.sort(rng.uniform(xg[0] - 1, xg[-1] + 1, 40))
     for j in (0.3, 1.7):
         for k in (-1.9, 0.4):
-            vals = [K.interp3_scalar(grid, xg, zg, xxg, q, j, k) for q in queries]
-            assert all(a <= b for a, b in zip(vals, vals[1:]))
+            vals = K._interp3(grid, xg, zg, xxg, queries, np.full(40, j), np.full(40, k))
+            assert np.all(vals[1:] >= vals[:-1])
 
 
 def test_interp_linear_inside_a_cell():
@@ -119,53 +119,8 @@ def test_interp_linear_inside_a_cell():
     grid = np.zeros((xg.size, zg.size, xxg.size))
     grid[4, 2, 2] = 0.0
     grid[5, 2, 2] = 2.0
-    mid = K.interp3_scalar(grid, xg, zg, xxg, (xg[4] + xg[5]) / 2, zg[2], xxg[2])
+    mid = K._interp3(grid, xg, zg, xxg, (xg[4] + xg[5]) / 2, zg[2], xxg[2])
     assert mid == pytest.approx(1.0, rel=1e-15)
-
-
-def test_scalar_and_vector_interp_agree_bitwise():
-    rng = np.random.default_rng(3)
-    xg, zg, xxg = small_axes()
-    grid = rng.normal(size=(xg.size, zg.size, xxg.size))
-    xi = rng.uniform(-6, 6, 64)
-    ze = rng.uniform(-0.5, 3.0, 64)
-    xx = rng.uniform(-3, 3, 64)
-    vec = K._interp3_numpy(grid, xg, zg, xxg, xi, ze, xx)
-    for n in range(64):
-        assert vec[n] == K.interp3_scalar(grid, xg, zg, xxg, xi[n], ze[n], xx[n])
-
-
-# -- backend agreement -------------------------------------------------------
-
-
-def test_sweep_exact_backends_bit_identical():
-    xg, zg, xxg = small_axes()
-    decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB = exact_problem()
-    code, a, uxs, uys = exp_encoding(1.0)
-    args = (xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, code, a, uxs, uys, 0.3, 1.0, 2.0, 40, 41)
-    v1, p1, e1, w1 = K.sweep_exact(*args)
-    v2, p2, e2, w2 = K.sweep_exact_numpy(*args)
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(p1, p2)
-    assert np.array_equal(e1, e2)
-    assert np.array_equal(w1, w2)
-
-
-def test_sweep_grid_backends_bit_identical():
-    rng = np.random.default_rng(7)
-    xg, zg, xxg, decay, cp, cP, cdelta, grids = grid_problem(rng, monotone=False)
-    args = (xg, zg, xxg, decay, cp, cP, cdelta, grids, xg, zg, xxg, 1.0, 2.0, 40, 31)
-    v1, p1, e1, w1 = K.sweep_grid(*args)
-    v2, p2, e2, w2 = K.sweep_grid_numpy(*args)
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(p1, p2)
-    assert np.array_equal(e1, e2)
-    assert np.array_equal(w1, w2)
-
-
-def test_backend_flag_consistent():
-    assert K.BACKEND in ("numba", "numpy")
-    assert K.BACKEND == ("numba" if K.NUMBA_ENABLED else "numpy")
 
 
 # -- sweep semantics ---------------------------------------------------------
@@ -260,16 +215,15 @@ def test_bound_search_stops_on_frozen_boundary_probes():
     cp = np.array([1.0])
     cP = np.array([0.0])
     cdelta = np.array([1.0])
-    for backend in (K.sweep_grid, K.sweep_grid_numpy):
-        values, policy, nexp, warn = backend(
-            np.array([0.0]), np.array([0.5]), np.array([0.0]),
-            decay, cp, cP, cdelta, grids, xg, zg, xxg, 1.0, 2.0, 40, 41,
-        )
-        assert warn[0, 0, 0] == 1
-        assert nexp[0, 0, 0] < 10
-        # the scan still finds the genuinely best reachable short position
-        assert values[0, 0, 0] > 0.0
-        assert policy[0, 0, 0] < 0.0
+    values, policy, nexp, warn = K.sweep_grid(
+        np.array([0.0]), np.array([0.5]), np.array([0.0]),
+        decay, cp, cP, cdelta, grids, xg, zg, xxg, 1.0, 2.0, 40, 41,
+    )
+    assert warn[0, 0, 0] == 1
+    assert nexp[0, 0, 0] < 10
+    # the scan still finds the genuinely best reachable short position
+    assert values[0, 0, 0] > 0.0
+    assert policy[0, 0, 0] < 0.0
 
 
 def test_forced_layer_matches_hand_loop():
@@ -304,7 +258,3 @@ def test_forced_layer_values_monotone_in_cash():
     )
     assert np.all(values[1:] >= values[:-1])
 
-
-def test_set_threads_accepts_small_counts():
-    K.set_threads(1)
-    K.set_threads(10_000)  # clamped to the configured maximum, not an error

@@ -1,5 +1,6 @@
 """Solver layer: config, grids, one-step search, extraction, exact-state DP."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,8 +18,8 @@ from impactdp.solver import (
     one_step_optimize,
     solve,
 )
-from impactdp.tree import PredictableAssignment, ScenarioTree, TreeNode, generate, preset
-from impactdp.utility import exponential
+from impactdp.tree import GeneratorSpec, PredictableAssignment, ScenarioTree, TreeNode, generate, preset
+from impactdp.utility import capped_linear, exponential, piecewise_linear
 
 
 def two_leaf_tree(p_up=0.6, p_dn=None):
@@ -188,12 +189,63 @@ def test_numeric_error_on_nan_inputs():
         backward_induce(tree, exponential(1.0), 0.0)
 
 
-def test_thread_override_is_validated(monkeypatch):
-    monkeypatch.setenv("IMPACTDP_THREADS", "not-a-number")
-    with pytest.raises(ValueError, match="IMPACTDP_THREADS"):
-        backward_induce(generate(preset("det-example")), exponential(1.0), 0.0)
-    monkeypatch.setenv("IMPACTDP_THREADS", "2")
-    backward_induce(generate(preset("det-example")), exponential(1.0), 0.0)
+# -- frozen outputs ----------------------------------------------------------
+
+FROZEN_CONFIG = SolveConfig(xi_count=9, zeta_count=5, x_count=5, action_count=21)
+FROZEN_ACTIONS = (-0.2, -0.1, 0.0, 0.1, 0.2)
+# SHA-256 over every layer's values then policy bytes in node-id order, and the
+# float.hex of the root value, the replayed strategy value and the exact-state
+# DP value on FROZEN_ACTIONS.  A refactor of the kernels, the transition or the
+# utility evaluator must leave all of them unchanged.  Recorded with NumPy 2.4
+# on x86-64; a NumPy build whose exp rounds differently needs new values.
+FROZEN = {
+    "det-example-exp": (
+        "409ec7cf67aaf3a88556b8f46a752820a5ee8dc8d34e03ddbc8dc07fae9cc4c7",
+        "-0x1.d8a2b4ac44685p-1", "-0x1.d8a2b4ac44685p-1", "-0x1.d8a2b4ac44685p-1",
+    ),
+    "binomial-exp": (
+        "64819625a07794d3624ce03a27f05f8f94ac289939971f9136c446d326e09fe6",
+        "-0x1.cf03036000bf8p+9", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+    ),
+    "notconvex-exp": (
+        "03fea1a45d4f984ae4dc83cfdff5f7026bc28974120ba4e532f99cf15ad2a902",
+        "-0x1.0b8e12a2fa61dp+24", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+    ),
+    "binomial-T4-cap": (
+        "0a53ae3e7e3b2a6a38d299f8ce4b55cf95ebcfb87c6766d0046bdb1f17ae5e93",
+        "-0x1.1942850a14289p+5", "0x0.0p+0", "0x1.65af0d59f932cp-6",
+    ),
+    "trinomial-pwl": (
+        "a080d0b8d4451b0357ca32126e6d07ef487622a668a6f89a1a593f3726c527d0",
+        "-0x1.77f2b5d9bd4c9p+2", "-0x1.874f3651fef43p-4", "0x0.0p+0",
+    ),
+}
+
+
+def frozen_instance(name):
+    if name == "binomial-T4-cap":
+        return generate(preset("binomial", T=4)), capped_linear(1.0)
+    if name == "trinomial-pwl":
+        spec = GeneratorSpec(
+            kind="trinomial", T=3, zeta0=0.05, resilience=0.3, depth=(1.0, 2.0, 1.5), p0=1.0, step=0.5
+        )
+        return generate(spec), piecewise_linear([(-1.0, -1.0), (0.0, 0.0), (1.0, 0.5)])
+    return generate(preset(name.rsplit("-", 1)[0])), exponential(1.0)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_layers_and_values_match_frozen_bits(name):
+    tree, u = frozen_instance(name)
+    vf = backward_induce(tree, u, 0.0, FROZEN_CONFIG)
+    digest = hashlib.sha256()
+    for nid in sorted(vf.layers):
+        digest.update(vf.layers[nid].values.tobytes())
+        digest.update(vf.layers[nid].policy.tobytes())
+    assignment, root, _ = forward_extract(tree, vf, u, 0.0, FROZEN_CONFIG)
+    replay = evaluate_strategy(tree, assignment, u, 0.0)
+    exact, _ = exact_state_dp(tree, u, 0.0, FROZEN_ACTIONS)
+    got = (digest.hexdigest(), root.value.hex(), replay.hex(), exact.hex())
+    assert got == FROZEN[name]
 
 
 # -- extraction and evaluation -----------------------------------------------

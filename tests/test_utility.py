@@ -69,11 +69,13 @@ def test_unknown_family_rejected():
 
 
 def test_array_evaluation_matches_scalar():
-    u = piecewise_linear([(-1.0, -2.0), (1.0, 2.0)])
-    xs = np.array([-5.0, -1.0, 0.0, 1.0, 4.0])
-    out = u(xs)
-    assert out.shape == xs.shape
-    assert list(out) == [u(float(x)) for x in xs]
+    xs = np.array([-5.0, -1.0, 0.0, 1.0, 4.0, -800.0])
+    for u in (piecewise_linear([(-1.0, -2.0), (1.0, 2.0)]), exponential(1.5), capped_linear(0.5)):
+        out = u(xs)
+        assert out.shape == xs.shape
+        assert list(out) == [u(float(x)) for x in xs]
+        assert [u(np.float64(x)) for x in xs] == [u(np.asarray(x)) for x in xs] == list(out)
+        assert u(np.zeros((2, 3))).shape == (2, 3)
 
 
 # -- parser ------------------------------------------------------------------
