@@ -8,7 +8,11 @@ where (xi', zeta') is the child's ``dynamics.transition`` after trading h and
 x' = x + h.  The continuation is either the closed-form forced liquidation
 into the leaves (children at the last decision date) or clamped multilinear
 interpolation into the child's value grid.  All states of a node are swept at
-once as flat arrays; each candidate trade costs one array pass per child.
+once as broadcast views of the three axes, xi on axis 0, zeta on axis 1 and x
+on axis 2, and a candidate trade is one scalar for the whole grid.  So each
+intermediate is computed on the axes it depends on: zeta' on the zeta axis,
+x' on the x axis and xi' on the xi-by-zeta slab, and only the corner gather,
+the blends and the utility run over every state.
 
 A sweep runs in two phases.  Phase one searches, per state, for a truncation
 bound K = k0 * k_factor**n such that the candidates at h = +-K both fall below
@@ -21,7 +25,10 @@ K_layer the maximum bound found in phase one.  Sharing the action set across
 the layer is what makes the swept values non-decreasing along the cash axis:
 each candidate's value is monotone in xi, and a max over a state-independent
 candidate set preserves that, whereas per-state action sets can lose it when
-neighbouring states truncate at different bounds.
+neighbouring states truncate at different bounds.  The scan visits the
+actions in increasing (|h|, sign) order, 0, -d, +d, -2d, +2d, ..., and takes a
+candidate only when it is strictly better, so the first maximum met wins: ties
+go to the smallest trade, then to the sale, and a NaN candidate never wins.
 """
 
 from __future__ import annotations
@@ -57,51 +64,73 @@ def _axis_lookup(vals, grid):
 
 
 def _interp3(grid, xg, zg, xxg, xi, ze, xx):
-    """Clamped multilinear interpolation of ``grid`` on the axes xg, zg, xxg."""
+    """Clamped multilinear interpolation of ``grid`` on the axes xg, zg, xxg.
+
+    The queries broadcast against each other.  The 8 corners are gathered
+    from the flattened grid at one base index; corner (di, dj, dk) is the
+    same gather on the flat view that starts di*nz*nxx + dj*nxx + dk later.
+    """
     i, fi = _axis_lookup(xi, xg)
     j, fj = _axis_lookup(ze, zg)
     k, fk = _axis_lookup(xx, xxg)
-    w00 = grid[i, j, k] * (1.0 - fi) + grid[i + 1, j, k] * fi
-    w10 = grid[i, j + 1, k] * (1.0 - fi) + grid[i + 1, j + 1, k] * fi
-    w01 = grid[i, j, k + 1] * (1.0 - fi) + grid[i + 1, j, k + 1] * fi
-    w11 = grid[i, j + 1, k + 1] * (1.0 - fi) + grid[i + 1, j + 1, k + 1] * fi
-    w0 = w00 * (1.0 - fj) + w10 * fj
-    w1 = w01 * (1.0 - fj) + w11 * fj
-    return w0 * (1.0 - fk) + w1 * fk
+    _, nz, nxx = grid.shape
+    flat = grid.reshape(-1)
+    base = (i * nz + j) * nxx + k
+    si = nz * nxx
+
+    def corner(off):
+        return flat[off:].take(base)
+
+    gi = 1.0 - fi
+    w00 = _lerp(corner(0), corner(si), fi, gi)
+    w10 = _lerp(corner(nxx), corner(si + nxx), fi, gi)
+    w01 = _lerp(corner(1), corner(si + 1), fi, gi)
+    w11 = _lerp(corner(nxx + 1), corner(si + nxx + 1), fi, gi)
+    gj = 1.0 - fj
+    w0 = _lerp(w00, w10, fj, gj)
+    w1 = _lerp(w01, w11, fj, gj)
+    return _lerp(w0, w1, fk, 1.0 - fk)
+
+
+def _lerp(lo, hi, f, g):
+    # lo * g + hi * f with g = 1 - f, computed in place in lo and hi
+    lo *= g
+    hi *= f
+    lo += hi
+    return lo
 
 
 def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
-    """Shared state-vectorized optimizer; ``cand`` maps trade vector to values.
+    """Shared state-vectorized optimizer; ``cand`` maps a scalar trade to values.
 
-    Per-state bound search with the dominance, plateau, and max-expansion
-    exits in that order, then one scan of all states over the action set built
-    from the layer-wide maximum bound.
+    ``cand(XI, ZE, XX, h)`` gets the axes as broadcast views and returns the
+    candidate values of every state as a new (nx, nz, nxx) array.  Per-state
+    bound search with the dominance, plateau, and max-expansion exits in that
+    order, then one scan of all states over the action set built from the
+    layer-wide maximum bound.  A state still searching in round n probes
+    +-k0 * kfac**n, the same bound for every such state, so each probe is one
+    scalar trade; the values of states that already stopped are not read.
     """
-    nx = xg.shape[0]
-    nz = zg.shape[0]
-    nxx = xxg.shape[0]
-    XI = np.repeat(xg, nz * nxx)
-    ZE = np.tile(np.repeat(zg, nxx), nx)
-    XX = np.tile(xxg, nx * nz)
-    n = XI.shape[0]
+    XI = xg[:, None, None]
+    ZE = zg[None, :, None]
+    XX = xxg[None, None, :]
+    shape = (xg.shape[0], zg.shape[0], xxg.shape[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        v0 = cand(XI, ZE, XX, np.zeros(n))
-        big = np.full(n, k0)
-        active = np.ones(n, dtype=bool)
-        nexp = np.zeros(n, dtype=np.int64)
-        warn = np.zeros(n, dtype=np.int64)
-        prev_vp = np.zeros(n)
-        prev_vm = np.zeros(n)
+        v0 = cand(XI, ZE, XX, 0.0)
+        big = k0
+        active = np.ones(shape, dtype=bool)
+        nexp = np.zeros(shape, dtype=np.int64)
+        warn = np.zeros(shape, dtype=np.int64)
+        prev_vp = prev_vm = None
         rounds = 0
         while True:
             vp = cand(XI, ZE, XX, big)
             vm = cand(XI, ZE, XX, -big)
-            ok_now = (vp <= v0) & (vm <= v0)
-            active = active & ~ok_now
+            active &= ~((vp <= v0) & (vm <= v0))
             if rounds > 0:
                 flat = active & (vp == prev_vp) & (vm == prev_vm)
                 warn[flat] = 1
-                active = active & ~flat
+                active &= ~flat
             if not active.any():
                 break
             if rounds >= kmax:
@@ -109,41 +138,33 @@ def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
                 break
             prev_vp = vp
             prev_vm = vm
-            big = np.where(active, big * kfac, big)
-            nexp = nexp + active
+            big = big * kfac
+            nexp += active
             rounds += 1
-        shared = float(big.max())
+        shared = float(big)
         m = (n_act - 1) // 2
-        best_v = v0.copy()
-        best_h = np.zeros(n)
-        best_a = np.zeros(n)
-        best_s = np.zeros(n, dtype=np.int64)
-        for iact in range(n_act):
-            h = shared * ((iact - m) / m)
-            if iact == m:
-                v = v0
-            else:
-                v = cand(XI, ZE, XX, np.full(n, h))
-            a = abs(h)
-            s = 1 if h > 0.0 else 0
-            eq = v == best_v
-            better = (v > best_v) | (eq & ((a < best_a) | ((a == best_a) & (s < best_s))))
-            best_v = np.where(better, v, best_v)
-            best_h = np.where(better, h, best_h)
-            best_a = np.where(better, a, best_a)
-            best_s = np.where(better, s, best_s)
-    shape = (nx, nz, nxx)
-    return (best_v.reshape(shape), best_h.reshape(shape), nexp.reshape(shape), warn.reshape(shape))
+        hs = np.array([shared * ((iact - m) / m) for iact in range(n_act)])
+        hs[m] = 0.0  # exact also when the bound overflowed to inf
+        best_v = v0
+        best_i = np.full(shape, m)
+        # 0, -d, +d, -2d, +2d, ...: a strict > keeps the first maximum met
+        for j in range(1, m + 1):
+            for iact in (m - j, m + j):
+                v = cand(XI, ZE, XX, hs[iact])
+                better = v > best_v
+                np.copyto(best_v, v, where=better)
+                best_i[better] = iact
+    return best_v, hs[best_i], nexp, warn
 
 
 def sweep_exact(xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z, k0, kfac, kmax, n_act):
     """Sweep a node whose children sit at the last decision date."""
 
     def cand(XI, ZE, XX, H):
-        AH = np.abs(H)
+        AH = abs(H)
         G = -(XX + H)
         AG = np.abs(G)
-        tot = np.zeros(np.broadcast(XI, H).shape)
+        tot = np.zeros(np.broadcast_shapes(XI.shape, ZE.shape, XX.shape))
         for c in range(cp.shape[0]):
             XI1, ZE1 = transition(XI, ZE, H, AH, decay, cP[c], cdelta[c])
             acc = np.zeros_like(tot)
@@ -164,9 +185,9 @@ def sweep_grid(xg, zg, xxg, decay, cp, cP, cdelta, grids, gxi, gze, gxx, k0, kfa
     """
 
     def cand(XI, ZE, XX, H):
-        AH = np.abs(H)
+        AH = abs(H)
         X1 = XX + H
-        tot = np.zeros(np.broadcast(XI, H).shape)
+        tot = np.zeros(np.broadcast_shapes(XI.shape, ZE.shape, XX.shape))
         for c in range(cp.shape[0]):
             XI1, ZE1 = transition(XI, ZE, H, AH, decay, cP[c], cdelta[c])
             tot += cp[c] * _interp3(grids[c], gxi, gze, gxx, XI1, ZE1, X1)

@@ -9,6 +9,7 @@ is never assumed anywhere in the package.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -41,6 +42,8 @@ def evaluate_utility(code: int, a: float, xs: np.ndarray, ys: np.ndarray, w, flo
             v = -np.exp(-a * w)
     elif code == 1:
         v = np.minimum(w, a)
+    elif isinstance(w, float):
+        v = _pwl_scalar(xs.tolist(), ys.tolist(), w)
     else:
         w = np.asarray(w)
         n = xs.shape[0]
@@ -55,6 +58,21 @@ def evaluate_utility(code: int, a: float, xs: np.ndarray, ys: np.ndarray, w, flo
             f = (w[mid] - xs[lo]) / (xs[lo + 1] - xs[lo])
             v[mid] = ys[lo] * (1.0 - f) + ys[lo + 1] * f
     return v if floor is None else np.maximum(v, floor)
+
+
+def _pwl_scalar(xs: list, ys: list, w: float) -> float:
+    # the array formula of evaluate_utility on one float, operation for operation
+    n = len(xs)
+    if w <= xs[0]:
+        return ys[0] + (w - xs[0])
+    if w >= xs[n - 1]:
+        return ys[n - 1]
+    if w != w:
+        # NaN, which the array formula carries through unchanged
+        return w
+    lo = min(max(bisect_right(xs, w) - 1, 0), n - 2)
+    f = (w - xs[lo]) / (xs[lo + 1] - xs[lo])
+    return ys[lo] * (1.0 - f) + ys[lo + 1] * f
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,43 @@ def test_interp_linear_inside_a_cell():
     assert mid == pytest.approx(1.0, rel=1e-15)
 
 
+def interp3_by_index(grid, xg, zg, xxg, xi, ze, xx):
+    """The interpolation written with 3-index corner gathers, blends in order."""
+    i, fi = K._axis_lookup(xi, xg)
+    j, fj = K._axis_lookup(ze, zg)
+    k, fk = K._axis_lookup(xx, xxg)
+    w00 = grid[i, j, k] * (1.0 - fi) + grid[i + 1, j, k] * fi
+    w10 = grid[i, j + 1, k] * (1.0 - fi) + grid[i + 1, j + 1, k] * fi
+    w01 = grid[i, j, k + 1] * (1.0 - fi) + grid[i + 1, j, k + 1] * fi
+    w11 = grid[i, j + 1, k + 1] * (1.0 - fi) + grid[i + 1, j + 1, k + 1] * fi
+    w0 = w00 * (1.0 - fj) + w10 * fj
+    w1 = w01 * (1.0 - fj) + w11 * fj
+    return w0 * (1.0 - fk) + w1 * fk
+
+
+def test_flat_gather_matches_three_index_gather_bitwise():
+    rng = np.random.default_rng(3)
+    # unequal axis lengths, so a swapped stride would gather the wrong corner
+    xg = np.linspace(-4.0, 4.0, 7)
+    zg = np.linspace(0.0, 2.0, 4)
+    xxg = np.linspace(-2.0, 2.0, 6)
+    grid = rng.normal(size=(xg.size, zg.size, xxg.size))
+    # broadcast queries on the sweep layout, reaching past every face of the box
+    xi = rng.uniform(-6.0, 6.0, size=(9, 1, 1))
+    ze = rng.uniform(-0.5, 2.5, size=(1, 5, 1))
+    xx = rng.uniform(-3.0, 3.0, size=(1, 1, 8))
+    xi[0], ze[0, 0], xx[0, 0, 0] = xg[-1], zg[-1], xxg[-1]
+    got = K._interp3(grid, xg, zg, xxg, xi, ze, xx)
+    assert got.shape == (9, 5, 8)
+    assert got.tobytes() == interp3_by_index(grid, xg, zg, xxg, xi, ze, xx).tobytes()
+    # a single-point state grid, as in one-step calls at an exact state
+    for point in ((0.3, 1.1, -0.7), (-9.0, 3.0, 2.5)):
+        q = [np.array(c).reshape(1, 1, 1) for c in point]
+        got = K._interp3(grid, xg, zg, xxg, *q)
+        assert got.shape == (1, 1, 1)
+        assert got.tobytes() == interp3_by_index(grid, xg, zg, xxg, *q).tobytes()
+
+
 # -- sweep semantics ---------------------------------------------------------
 
 
@@ -152,6 +189,115 @@ def test_action_zero_is_exact_and_ties_break_to_no_trade():
     assert np.all(policy == 0.0)
     assert np.all(nexp == 0)
     assert np.all(warn == 0)
+
+
+def sweep_per_action(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
+    """Reference sweep over flat state arrays: each state probes its own bound,
+    and the scan visits the actions from -K to K, keeping the best (value,
+    |h|, sign) per state."""
+    nx = xg.shape[0]
+    nz = zg.shape[0]
+    nxx = xxg.shape[0]
+    XI = np.repeat(xg, nz * nxx)
+    ZE = np.tile(np.repeat(zg, nxx), nx)
+    XX = np.tile(xxg, nx * nz)
+    n = XI.shape[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        v0 = cand(XI, ZE, XX, np.zeros(n))
+        big = np.full(n, k0)
+        active = np.ones(n, dtype=bool)
+        nexp = np.zeros(n, dtype=np.int64)
+        warn = np.zeros(n, dtype=np.int64)
+        prev_vp = np.zeros(n)
+        prev_vm = np.zeros(n)
+        rounds = 0
+        while True:
+            vp = cand(XI, ZE, XX, big)
+            vm = cand(XI, ZE, XX, -big)
+            ok_now = (vp <= v0) & (vm <= v0)
+            active = active & ~ok_now
+            if rounds > 0:
+                flat = active & (vp == prev_vp) & (vm == prev_vm)
+                warn[flat] = 1
+                active = active & ~flat
+            if not active.any():
+                break
+            if rounds >= kmax:
+                warn[active] = 1
+                break
+            prev_vp = vp
+            prev_vm = vm
+            big = np.where(active, big * kfac, big)
+            nexp = nexp + active
+            rounds += 1
+        shared = float(big.max())
+        m = (n_act - 1) // 2
+        best_v = v0.copy()
+        best_h = np.zeros(n)
+        best_a = np.zeros(n)
+        best_s = np.zeros(n, dtype=np.int64)
+        for iact in range(n_act):
+            h = shared * ((iact - m) / m)
+            if iact == m:
+                v = v0
+            else:
+                v = cand(XI, ZE, XX, np.full(n, h))
+            a = abs(h)
+            s = 1 if h > 0.0 else 0
+            eq = v == best_v
+            better = (v > best_v) | (eq & ((a < best_a) | ((a == best_a) & (s < best_s))))
+            best_v = np.where(better, v, best_v)
+            best_h = np.where(better, h, best_h)
+            best_a = np.where(better, a, best_a)
+            best_s = np.where(better, s, best_s)
+    shape = (nx, nz, nxx)
+    return (best_v.reshape(shape), best_h.reshape(shape), nexp.reshape(shape), warn.reshape(shape))
+
+
+def tied_cand(XI, ZE, XX, H):
+    """Candidate values on a few levels, with NaN patches, for flat or broadcast
+    states.  Only +, -, * and floor, so each element gets the same bits in
+    either layout."""
+    slope = XI + ZE - 0.5 * XX
+    # even in h where x > 0, so +-h tie there
+    trade = np.where(XX > 0.0, np.abs(H), H)
+    v = np.floor(2.0 * (slope * trade - 0.25 * H * H)) * 0.5
+    # a band of trades, and every trade at one corner state, where v0 is NaN
+    # and the bound search runs to its expansion cap
+    nan = ((XI * H > 5.0) & (XI * H < 9.0)) | ((XX > 1.5) & (ZE > 1.5) & (XI > 3.5))
+    v = np.where(nan, np.nan, v)
+    return np.broadcast_to(v, np.broadcast_shapes(XI.shape, ZE.shape, XX.shape, np.shape(H))).copy()
+
+
+def test_ordered_scan_matches_per_action_scan_bitwise():
+    xg, zg, xxg = small_axes()
+    for k0, kfac, kmax, n_act in ((1.0, 2.0, 6, 21), (0.5, 1.5, 3, 41), (1.0, 2.0, 0, 7), (2.0, 3.0, 4, 201)):
+        got = K._sweep(tied_cand, xg, zg, xxg, k0, kfac, kmax, n_act)
+        want = sweep_per_action(tied_cand, xg, zg, xxg, k0, kfac, kmax, n_act)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (xg.size, zg.size, xxg.size)
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        values, policy, nexp, warn = want
+        assert np.isnan(values).sum() == 1
+        assert (policy != 0.0).mean() > 0.25
+        assert warn.any()
+
+
+def test_ordered_scan_breaks_ties_to_the_smallest_sale():
+    # equal maxima at +-d and +-2d (d = 0.25); the scan must return -d
+    table = {0.0: 0.0, 0.25: 1.0, 0.5: 1.0, 0.75: -1.0, 1.0: 0.0}
+
+    def cand(XI, ZE, XX, H):
+        shape = np.broadcast_shapes(XI.shape, ZE.shape, XX.shape)
+        return np.vectorize(lambda h: table[abs(h)])(np.broadcast_to(H, shape)).astype(np.float64)
+
+    one = np.array([0.0])
+    for sweep in (K._sweep, sweep_per_action):
+        values, policy, nexp, warn = sweep(cand, one, one, one, 1.0, 2.0, 40, 9)
+        assert values[0, 0, 0] == 1.0
+        assert policy[0, 0, 0] == -0.25
+        assert nexp[0, 0, 0] == 0 and warn[0, 0, 0] == 0
 
 
 def test_bound_search_expands_when_the_optimum_is_far():

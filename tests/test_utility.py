@@ -10,6 +10,7 @@ from impactdp.utility import (
     UtilitySpec,
     capped_linear,
     check_assumptions,
+    evaluate_utility,
     exponential,
     parse_utility,
     piecewise_linear,
@@ -68,6 +69,10 @@ def test_unknown_family_rejected():
         UtilitySpec(family="log")
 
 
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
 def test_array_evaluation_matches_scalar():
     xs = np.array([-5.0, -1.0, 0.0, 1.0, 4.0, -800.0])
     for u in (piecewise_linear([(-1.0, -2.0), (1.0, 2.0)]), exponential(1.5), capped_linear(0.5)):
@@ -76,6 +81,19 @@ def test_array_evaluation_matches_scalar():
         assert list(out) == [u(float(x)) for x in xs]
         assert [u(np.float64(x)) for x in xs] == [u(np.asarray(x)) for x in xs] == list(out)
         assert u(np.zeros((2, 3))).shape == (2, 3)
+    # the pwl float path repeats the array formula bit for bit: knots,
+    # midpoints, both tails, the infinities and NaN, also with one knot
+    knots = [(-2.0, -3.0), (-0.3, -0.1), (0.7, 0.45), (1.9, 1.3)]
+    kx = [x for x, _ in knots]
+    probes = kx + [(a + b) / 2 for a, b in zip(kx, kx[1:])] + [0.1, 1.0 / 3.0, -1e9, -2.0 - 1e-12, 1.9 + 1e-12, 7.5]
+    probes += [math.inf, -math.inf, math.nan]
+    for u in (piecewise_linear(knots), piecewise_linear([(0.5, 0.25)])):
+        w = np.array(probes)
+        for floor in (None, -1e300):
+            out = evaluate_utility(*u.kernel_encoding(), w, floor)
+            assert bits([evaluate_utility(*u.kernel_encoding(), x, floor) for x in probes]) == bits(out)
+            assert bits([evaluate_utility(*u.kernel_encoding(), np.float64(x), floor) for x in probes]) == bits(out)
+        assert bits([u(x) for x in probes]) == bits(u(w))
 
 
 # -- parser ------------------------------------------------------------------
