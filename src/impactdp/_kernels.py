@@ -11,8 +11,11 @@ interpolation into the child's value grid.  All states of a node are swept at
 once as broadcast views of the three axes, xi on axis 0, zeta on axis 1 and x
 on axis 2, and a candidate trade is one scalar for the whole grid.  So each
 intermediate is computed on the axes it depends on: zeta' on the zeta axis,
-x' on the x axis and xi' on the xi-by-zeta slab, and only the corner gather,
-the blends and the utility run over every state.
+x' on the x axis and xi' on the xi-by-zeta slab.  The interpolation follows
+the same split in two stages: it blends the child grid's rows over xi' and
+zeta' once per xi-by-zeta query, for every grid column, and then picks and
+blends the two columns around each x'.  Only the second stage and the utility
+run over every state.
 
 A sweep runs in two phases.  Phase one searches, per state, for a truncation
 bound K = k0 * k_factor**n such that the candidates at h = +-K both fall below
@@ -66,30 +69,35 @@ def _axis_lookup(vals, grid):
 def _interp3(grid, xg, zg, xxg, xi, ze, xx):
     """Clamped multilinear interpolation of ``grid`` on the axes xg, zg, xxg.
 
-    The queries broadcast against each other.  The 8 corners are gathered
-    from the flattened grid at one base index; corner (di, dj, dk) is the
-    same gather on the flat view that starts di*nz*nxx + dj*nxx + dk later.
+    The queries broadcast against each other.  Stage one blends whole rows
+    of x values: it gathers the four (i or i+1, j or j+1) rows of the
+    (nx*nz, nxx) view at the broadcast shape of the xi and zeta queries and
+    blends them over xi, then over zeta, for every grid column.  Stage two
+    gathers columns k and k+1 of the blended rows with one flat index and
+    blends them over x.  These are the blends of the 8-corner formula with
+    the same operands in the same order, so the result is the same to the
+    bit.  In the sweep layout the xi and zeta queries do not vary along x, so
+    stage one blends each (row, column) pair once for every x query that
+    reads it.
     """
     i, fi = _axis_lookup(xi, xg)
     j, fj = _axis_lookup(ze, zg)
     k, fk = _axis_lookup(xx, xxg)
     _, nz, nxx = grid.shape
-    flat = grid.reshape(-1)
-    base = (i * nz + j) * nxx + k
-    si = nz * nxx
+    rows = grid.reshape(-1, nxx)
+    r = i * nz + j
 
-    def corner(off):
-        return flat[off:].take(base)
+    def row(off):
+        return rows[off:].take(r, axis=0)
 
+    fi = np.expand_dims(fi, -1)
+    fj = np.expand_dims(fj, -1)
     gi = 1.0 - fi
-    w00 = _lerp(corner(0), corner(si), fi, gi)
-    w10 = _lerp(corner(nxx), corner(si + nxx), fi, gi)
-    w01 = _lerp(corner(1), corner(si + 1), fi, gi)
-    w11 = _lerp(corner(nxx + 1), corner(si + nxx + 1), fi, gi)
-    gj = 1.0 - fj
-    w0 = _lerp(w00, w10, fj, gj)
-    w1 = _lerp(w01, w11, fj, gj)
-    return _lerp(w0, w1, fk, 1.0 - fk)
+    w0 = _lerp(row(0), row(nz), fi, gi)
+    w1 = _lerp(row(1), row(nz + 1), fi, gi)
+    w = _lerp(w0, w1, fj, 1.0 - fj).reshape(-1)
+    col = np.arange(0, w.size, nxx).reshape(np.shape(r)) + k
+    return _lerp(w.take(col), w[1:].take(col), fk, 1.0 - fk)
 
 
 def _lerp(lo, hi, f, g):

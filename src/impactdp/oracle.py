@@ -190,4 +190,7 @@ def history_dp(
             extract(child, hs + (h,))
 
     extract(tree.root, ())
+    # decide reaches itself through its closure, a cycle that only the cyclic
+    # collector would free, and with it this table
+    choice.clear()
     return OracleResult(value=value, strategy=PredictableAssignment(chosen), candidates=evaluations)

@@ -11,6 +11,13 @@ last decision date are always evaluated in closed form (one cheap sum over
 their leaves), which removes the largest interpolation error from the root
 value.
 
+A node's grid depends only on its own resilience and endowment and on its
+children's (p, P, delta) and subtrees.  ``backward_induce`` gives every node a
+bottom-up signature of exactly those floats (bit for bit), computes one grid
+per distinct signature and lets the nodes that share a signature share its
+read-only arrays, so a recombining lattice or an iid tree sweeps each distinct
+subtree once.  Diagnostics still count every node.
+
 ``evaluate_strategy`` walks the tree with the explicit cash-innovation form
 and is the single evaluation path shared with the exhaustive oracles, which is
 what makes oracle cross-checks exact rather than approximate.
@@ -244,55 +251,82 @@ def backward_induce(
     """Build value and policy grids for every node, leaves first.
 
     Dates T-1 and T are closed-form layers (forced liquidation, terminal
-    utility); dates at and below T-2 run the adaptive one-step sweep.  Raises
-    ``SolverNumericError`` if any finished layer contains NaN or +inf.
+    utility); dates at and below T-2 run the adaptive one-step sweep.  Nodes
+    with the same subtree signature share one grid, whose arrays are
+    read-only.  Raises ``SolverNumericError`` if any finished layer contains
+    NaN or +inf.
     """
     config = config or SolveConfig()
     axes = config.resolve_axes(tree)
-    ucode, ua, uxs, uys = u.kernel_encoding()
     z = float(z)
     layers: dict[int, NodeGrid] = {}
-    shape = (axes.xi.shape[0], axes.zeta.shape[0], axes.x.shape[0])
+    sig_of: dict[int, int] = {}  # node id -> signature id
+    sig_ids: dict[tuple, int] = {}  # signature -> its id, in order of first sight
+    computed: dict[int, NodeGrid] = {}  # signature id -> the grid made for it
     for t in range(tree.T, -1, -1):
         for node in tree.nodes_at(t):
-            if t == tree.T:
-                wealth = np.broadcast_to(z + axes.xi[:, None, None] - node.B, shape).copy()
-                vals = evaluate_utility(ucode, ua, uxs, uys, wealth, _kernels.U_FLOOR)
-                grid = NodeGrid(node.id, t, vals, np.zeros(shape))
-            elif t == tree.T - 1:
-                lp, lP, ld, lB = _leaf_arrays(tree, node)
-                vals, pol = _kernels.forced_layer(
-                    axes.xi, axes.zeta, axes.x, math.exp(-node.r), lp, lP, ld, lB,
-                    ucode, ua, uxs, uys, z,
-                )
-                grid = NodeGrid(node.id, t, vals, pol)
-            elif t == tree.T - 2:
-                packed = _pack_exact(tree, node)
-                vals, pol, nexp, warn = _kernels.sweep_exact(
-                    axes.xi, axes.zeta, axes.x, math.exp(-node.r), *packed,
-                    ucode, ua, uxs, uys, z,
-                    config.k0, config.k_factor, config.max_k_expansions, config.action_count,
-                )
-                grid = NodeGrid(node.id, t, vals, pol, int(nexp.max()), int(warn.sum()))
-            else:
-                cp, cP, cdelta, grids = _pack_grids(tree, node, layers)
-                vals, pol, nexp, warn = _kernels.sweep_grid(
-                    axes.xi, axes.zeta, axes.x, math.exp(-node.r), cp, cP, cdelta, grids,
-                    axes.xi, axes.zeta, axes.x,
-                    config.k0, config.k_factor, config.max_k_expansions, config.action_count,
-                )
-                grid = NodeGrid(node.id, t, vals, pol, int(nexp.max()), int(warn.sum()))
-            if np.isnan(grid.values).any() or np.isposinf(grid.values).any():
-                raise SolverNumericError(f"non-finite values in the layer of node {node.id}")
-            layers[node.id] = grid
+            kids = tuple(
+                (_exact(k.p), _exact(k.P), _exact(k.delta), sig_of[k.id]) for k in tree.children(node.id)
+            )
+            sig = sig_ids.setdefault((_exact(node.r), _exact(node.B), kids), len(sig_ids))
+            sig_of[node.id] = sig
+            if sig not in computed:
+                computed[sig] = _node_grid(tree, node, layers, axes, u, z, config)
+            grid = computed[sig]
+            layers[node.id] = NodeGrid(node.id, t, grid.values, grid.policy, grid.k_expansions, grid.k_warnings)
     diagnostics = {
         "k_expansions": max((g.k_expansions for g in layers.values()), default=0),
         "k_warnings": sum(g.k_warnings for g in layers.values()),
         "monotonicity_violations": int(
             sum(np.sum(g.values[1:, :, :] < g.values[:-1, :, :]) for g in layers.values())
         ),
+        "distinct_grids": sum(1 for g in computed.values() if g.t <= tree.T - 2),
     }
     return ValueFunctions(axes=axes, layers=layers, diagnostics=diagnostics)
+
+
+def _exact(v: float | None) -> str | None:
+    # bit-exact key: 0.0 and -0.0 compare equal but may round differently
+    return None if v is None else float(v).hex()
+
+
+def _node_grid(tree, node, layers, axes, u, z, config) -> NodeGrid:
+    """The grid of one node, its arrays read-only since nodes may share them."""
+    ucode, ua, uxs, uys = u.kernel_encoding()
+    shape = (axes.xi.shape[0], axes.zeta.shape[0], axes.x.shape[0])
+    t = node.t
+    if t == tree.T:
+        wealth = np.broadcast_to(z + axes.xi[:, None, None] - node.B, shape).copy()
+        vals = evaluate_utility(ucode, ua, uxs, uys, wealth, _kernels.U_FLOOR)
+        grid = NodeGrid(node.id, t, vals, np.zeros(shape))
+    elif t == tree.T - 1:
+        lp, lP, ld, lB = _leaf_arrays(tree, node)
+        vals, pol = _kernels.forced_layer(
+            axes.xi, axes.zeta, axes.x, math.exp(-node.r), lp, lP, ld, lB,
+            ucode, ua, uxs, uys, z,
+        )
+        grid = NodeGrid(node.id, t, vals, pol)
+    elif t == tree.T - 2:
+        packed = _pack_exact(tree, node)
+        vals, pol, nexp, warn = _kernels.sweep_exact(
+            axes.xi, axes.zeta, axes.x, math.exp(-node.r), *packed,
+            ucode, ua, uxs, uys, z,
+            config.k0, config.k_factor, config.max_k_expansions, config.action_count,
+        )
+        grid = NodeGrid(node.id, t, vals, pol, int(nexp.max()), int(warn.sum()))
+    else:
+        cp, cP, cdelta, grids = _pack_grids(tree, node, layers)
+        vals, pol, nexp, warn = _kernels.sweep_grid(
+            axes.xi, axes.zeta, axes.x, math.exp(-node.r), cp, cP, cdelta, grids,
+            axes.xi, axes.zeta, axes.x,
+            config.k0, config.k_factor, config.max_k_expansions, config.action_count,
+        )
+        grid = NodeGrid(node.id, t, vals, pol, int(nexp.max()), int(warn.sum()))
+    if np.isnan(grid.values).any() or np.isposinf(grid.values).any():
+        raise SolverNumericError(f"non-finite values in the layer of node {node.id}")
+    grid.values.setflags(write=False)
+    grid.policy.setflags(write=False)
+    return grid
 
 
 def _leaf_arrays(tree: ScenarioTree, node: TreeNode):
@@ -547,6 +581,10 @@ def exact_state_dp(
             extract(child, xi1, ze1, x + h)
 
     extract(tree.root, 0.0, tree.zeta0, 0.0)
+    # value and _expect reach each other through their closures, a cycle that
+    # only the cyclic collector would free, and with it these tables
+    memo.clear()
+    best_h.clear()
     return root_value, PredictableAssignment(values)
 
 

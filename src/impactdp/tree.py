@@ -451,11 +451,15 @@ class GeneratorSpec:
 
 
 def _branching(spec: GeneratorSpec) -> list[tuple[float, float]]:
-    """Per-step (probability, midprice increment) pairs, in child order."""
+    """Per-step (probability, move) pairs, in child order.
+
+    A lattice move is the change in the net number of up-steps; a quantized
+    move is the atom drawn.
+    """
     if spec.kind == "binomial":
-        return [(spec.p_up, spec.step), (1.0 - spec.p_up, -spec.step)]
+        return [(spec.p_up, 1), (1.0 - spec.p_up, -1)]
     if spec.kind == "trinomial":
-        return [(0.25, spec.step), (0.5, 0.0), (0.25, -spec.step)]
+        return [(0.25, 1), (0.5, 0), (0.25, -1)]
     # quantized_gaussian: Gauss-Hermite atoms of a standard normal, which
     # match the continuous moments up to order 2*atoms-1
     points, weights = np.polynomial.hermite_e.hermegauss(spec.atoms)
@@ -468,7 +472,9 @@ def generate(spec: GeneratorSpec) -> ScenarioTree:
 
     Nodes are numbered breadth-first from the root so files stay topological.
     For the quantized kind the midprice at every date is an independent draw
-    (p0 plus an atom); the lattice kinds accumulate increments.
+    (p0 plus an atom).  A lattice node's midprice is p0 + k * step with k its
+    net number of up-steps, so paths that reach the same k carry the same
+    float whatever the order of their steps (the lattice recombines).
     """
     r_sched = spec.schedule(spec.resilience, "resilience")
     d_sched = spec.schedule(spec.depth, "depth")
@@ -480,13 +486,13 @@ def generate(spec: GeneratorSpec) -> ScenarioTree:
     p0 = spec.prices[0] if spec.kind == "deterministic" else spec.p0
     nodes = [TreeNode(id=0, parent=None, t=0, p=1.0, P=float(p0), r=float(r_sched[0]))]
     frontier = [0]  # ids of the previous date's nodes
+    ups = {0: 0}  # net up-steps of each lattice node, by id
     next_id = 1
     for t in range(1, spec.T + 1):
         depth_t = float(d_sched[t - 1])
         r_t = float(r_sched[t]) if t <= spec.T - 1 else None
         new_frontier = []
         for pid in frontier:
-            parent = nodes[pid]
             if spec.kind == "deterministic":
                 moves = [(1.0, 0.0)]
             else:
@@ -497,7 +503,8 @@ def generate(spec: GeneratorSpec) -> ScenarioTree:
                 elif spec.kind == "quantized_gaussian":
                     price = spec.p0 + move
                 else:
-                    price = parent.P + move
+                    ups[next_id] = ups[pid] + move
+                    price = float(spec.p0 + ups[next_id] * spec.step)
                 nodes.append(
                     TreeNode(
                         id=next_id,

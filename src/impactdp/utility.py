@@ -45,18 +45,20 @@ def evaluate_utility(code: int, a: float, xs: np.ndarray, ys: np.ndarray, w, flo
     elif isinstance(w, float):
         v = _pwl_scalar(xs.tolist(), ys.tolist(), w)
     else:
+        # the slope-one tail everywhere, then each knot segment and the flat
+        # tail written over it where w falls; out= keeps a 0-d input an array.
+        # A segment blends only its own entries: in a sweep nearly all wealth
+        # lies below the first knot, so most segments are empty
         w = np.asarray(w)
         n = xs.shape[0]
-        v = np.empty_like(w)
-        below = w <= xs[0]
-        above = w >= xs[n - 1]
-        mid = ~(below | above)
-        v[below] = ys[0] + (w[below] - xs[0])
-        v[above] = ys[n - 1]
-        if np.any(mid):
-            lo = np.clip(np.searchsorted(xs, w[mid], side="right") - 1, 0, n - 2)
-            f = (w[mid] - xs[lo]) / (xs[lo + 1] - xs[lo])
-            v[mid] = ys[lo] * (1.0 - f) + ys[lo + 1] * f
+        with np.errstate(over="ignore"):
+            v = np.add(ys[0], w - xs[0], out=np.empty(w.shape))
+        for s in range(n - 1):
+            inside = (w > xs[0] if s == 0 else w >= xs[s]) & (w < xs[s + 1])
+            if inside.any():
+                f = (w[inside] - xs[s]) / (xs[s + 1] - xs[s])
+                v[inside] = ys[s] * (1.0 - f) + ys[s + 1] * f
+        np.copyto(v, ys[n - 1], where=w >= xs[n - 1])
     return v if floor is None else np.maximum(v, floor)
 
 

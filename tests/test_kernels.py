@@ -137,6 +137,30 @@ def interp3_by_index(grid, xg, zg, xxg, xi, ze, xx):
     return w0 * (1.0 - fk) + w1 * fk
 
 
+def interp3_eight_corners(grid, xg, zg, xxg, xi, ze, xx):
+    """The interpolation as 8 corner gathers at one flat base index."""
+    i, fi = K._axis_lookup(xi, xg)
+    j, fj = K._axis_lookup(ze, zg)
+    k, fk = K._axis_lookup(xx, xxg)
+    _, nz, nxx = grid.shape
+    flat = grid.reshape(-1)
+    base = (i * nz + j) * nxx + k
+    si = nz * nxx
+
+    def corner(off):
+        return flat[off:].take(base)
+
+    gi = 1.0 - fi
+    w00 = K._lerp(corner(0), corner(si), fi, gi)
+    w10 = K._lerp(corner(nxx), corner(si + nxx), fi, gi)
+    w01 = K._lerp(corner(1), corner(si + 1), fi, gi)
+    w11 = K._lerp(corner(nxx + 1), corner(si + nxx + 1), fi, gi)
+    gj = 1.0 - fj
+    w0 = K._lerp(w00, w10, fj, gj)
+    w1 = K._lerp(w01, w11, fj, gj)
+    return K._lerp(w0, w1, fk, 1.0 - fk)
+
+
 def test_flat_gather_matches_three_index_gather_bitwise():
     rng = np.random.default_rng(3)
     # unequal axis lengths, so a swapped stride would gather the wrong corner
@@ -144,20 +168,34 @@ def test_flat_gather_matches_three_index_gather_bitwise():
     zg = np.linspace(0.0, 2.0, 4)
     xxg = np.linspace(-2.0, 2.0, 6)
     grid = rng.normal(size=(xg.size, zg.size, xxg.size))
-    # broadcast queries on the sweep layout, reaching past every face of the box
+
+    def check(xi, ze, xx, shape):
+        got = K._interp3(grid, xg, zg, xxg, xi, ze, xx)
+        assert np.shape(got) == shape
+        for reference in (interp3_by_index, interp3_eight_corners):
+            want = reference(grid, xg, zg, xxg, xi, ze, xx)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    # broadcast queries, reaching past every face of the box
     xi = rng.uniform(-6.0, 6.0, size=(9, 1, 1))
     ze = rng.uniform(-0.5, 2.5, size=(1, 5, 1))
     xx = rng.uniform(-3.0, 3.0, size=(1, 1, 8))
     xi[0], ze[0, 0], xx[0, 0, 0] = xg[-1], zg[-1], xxg[-1]
-    got = K._interp3(grid, xg, zg, xxg, xi, ze, xx)
-    assert got.shape == (9, 5, 8)
-    assert got.tobytes() == interp3_by_index(grid, xg, zg, xxg, xi, ze, xx).tobytes()
-    # a single-point state grid, as in one-step calls at an exact state
-    for point in ((0.3, 1.1, -0.7), (-9.0, 3.0, 2.5)):
-        q = [np.array(c).reshape(1, 1, 1) for c in point]
-        got = K._interp3(grid, xg, zg, xxg, *q)
-        assert got.shape == (1, 1, 1)
-        assert got.tobytes() == interp3_by_index(grid, xg, zg, xxg, *q).tobytes()
+    check(xi, ze, xx, (9, 5, 8))
+    # the sweep layout: xi' on the xi-by-zeta slab, zeta' on the zeta axis
+    check(xi + ze, ze, xx, (9, 5, 8))
+    # xi varying along the last axis and x along the first
+    check(xi.reshape(1, 1, 9), ze, xx.reshape(8, 1, 1), (8, 5, 9))
+    # generic point queries, each coordinate its own
+    pts = [rng.uniform(lo - 2.0, hi + 2.0, size=40) for lo, hi in ((-4.0, 4.0), (0.0, 2.0), (-2.0, 2.0))]
+    check(*pts, (40,))
+    # single points: 1x1x1 state grids as in one-step calls at an exact state,
+    # 0-d arrays and floats, inside and past each face of the box
+    for point in ((0.3, 1.1, -0.7), (-9.0, 3.0, 2.5), (9.0, -1.0, -2.5), (-4.0, 2.0, 2.0), (4.0, 0.0, -2.0)):
+        check(*[np.array(c).reshape(1, 1, 1) for c in point], (1, 1, 1))
+        check(*[np.array(c) for c in point], ())
+        check(*point, ())
 
 
 # -- sweep semantics ---------------------------------------------------------

@@ -1,11 +1,14 @@
 """Solver layer: config, grids, one-step search, extraction, exact-state DP."""
 
+import gc
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from impactdp import _kernels
 from impactdp.oracle import ActionGrid, history_dp
 from impactdp.solver import (
     MarketState,
@@ -189,6 +192,61 @@ def test_numeric_error_on_nan_inputs():
         backward_induce(tree, exponential(1.0), 0.0)
 
 
+# -- shared subtrees ---------------------------------------------------------
+
+SMALL_CONFIG = SolveConfig(xi_count=3, zeta_count=3, x_count=3, action_count=5)
+
+
+def count_sweeps(monkeypatch):
+    calls = []
+    for name in ("sweep_exact", "sweep_grid"):
+        original = getattr(_kernels, name)
+
+        def counted(*args, _original=original):
+            calls.append(1)
+            return _original(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    return calls
+
+
+def test_recombining_lattice_sweeps_each_distinct_subtree_once(monkeypatch):
+    calls = count_sweeps(monkeypatch)
+    tree = generate(preset("binomial", T=8))
+    vf = backward_induce(tree, exponential(1.0), 0.0, SMALL_CONFIG)
+    sweep_nodes = [n for n in tree.node_ids() if tree.node(n).t <= tree.T - 2]
+    assert len(sweep_nodes) == 127
+    assert len(calls) == 28
+    assert vf.diagnostics["distinct_grids"] == 28
+    assert sorted(vf.layers) == tree.node_ids()
+
+
+def test_non_recombining_tree_sweeps_every_node(monkeypatch):
+    rng = np.random.default_rng(11)
+    lattice = generate(preset("binomial", T=4))
+    nodes = [replace(lattice.node(n), P=float(rng.uniform(0.0, 2.0))) for n in lattice.node_ids()]
+    tree = ScenarioTree(T=4, zeta0=lattice.zeta0, nodes=nodes)
+    calls = count_sweeps(monkeypatch)
+    vf = backward_induce(tree, capped_linear(1.0), 0.0, SMALL_CONFIG)
+    assert len(calls) == 7 == vf.diagnostics["distinct_grids"]
+
+
+def test_nodes_with_the_same_subtree_share_read_only_grids():
+    tree = generate(preset("binomial", T=4))
+    vf = backward_induce(tree, exponential(1.0), 0.0, SMALL_CONFIG)
+    up, down = tree.children(tree.root_id)
+    up_down, down_up = tree.children(up.id)[1], tree.children(down.id)[0]
+    assert up_down.P == down_up.P
+    a, b = vf.layers[up_down.id], vf.layers[down_up.id]
+    assert (a.node_id, b.node_id) == (up_down.id, down_up.id)
+    assert a.values is b.values and a.policy is b.policy
+    assert a.k_expansions == b.k_expansions and a.k_warnings == b.k_warnings
+    for grid in vf.layers.values():
+        for arr in (grid.values, grid.policy):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0] = 1.0
+
+
 # -- frozen outputs ----------------------------------------------------------
 
 FROZEN_CONFIG = SolveConfig(xi_count=9, zeta_count=5, x_count=5, action_count=21)
@@ -305,6 +363,27 @@ def test_exact_state_dp_agrees_with_history_indexed_oracle():
         assert evaluate_strategy(tree, s_state, u, 0.0) == pytest.approx(
             oracle.value, rel=1e-12, abs=1e-12
         )
+
+
+def test_recursions_leave_no_filled_tables_to_the_cycle_collector():
+    # their nested recursive functions form reference cycles; the memo tables
+    # must be emptied on return, not held until the next cyclic collection
+    tree = generate(preset("binomial"))
+    u = exponential(1.0)
+    grid = ActionGrid((-1.0, 0.0, 1.0))
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        exact_state_dp(tree, u, 0.0, list(grid))
+        history_dp(tree, u, 0.0, grid)
+        gc.collect()
+        filled = [o for o in gc.garbage if isinstance(o, dict) and o]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert filled == []
 
 
 def test_exact_state_dp_needs_actions():

@@ -285,6 +285,17 @@ def test_binomial_prices_accumulate_increments():
     assert prices_t2 == [1.0, 2.0, 2.0, 3.0]
 
 
+def test_lattices_recombine_to_the_same_float():
+    # 0.1 is not dyadic: summing the steps in path order would give up-down
+    # and down-up midprices that differ in the last bit
+    tree = generate(GeneratorSpec(kind="binomial", T=4, step=0.1, p0=0.3))
+    up, down = tree.children(tree.root.id)
+    assert tree.children(up.id)[1].P == tree.children(down.id)[0].P == 0.3
+    assert [len({n.P for n in tree.nodes_at(t)}) for t in range(5)] == [1, 2, 3, 4, 5]
+    tree = generate(GeneratorSpec(kind="trinomial", T=4, step=0.1, p0=0.3))
+    assert [len({n.P for n in tree.nodes_at(t)}) for t in range(5)] == [1, 3, 5, 7, 9]
+
+
 def test_trinomial_branching():
     tree = generate(GeneratorSpec(kind="trinomial", T=2, step=1.0, p0=0.0))
     assert len(tree.children(tree.root.id)) == 3

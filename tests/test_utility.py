@@ -96,6 +96,49 @@ def test_array_evaluation_matches_scalar():
         assert bits([u(x) for x in probes]) == bits(u(w))
 
 
+def pwl_by_masks(xs, ys, w):
+    """The pwl array formula written with boolean masks and searchsorted."""
+    w = np.asarray(w)
+    n = xs.shape[0]
+    v = np.empty_like(w)
+    below = w <= xs[0]
+    above = w >= xs[n - 1]
+    mid = ~(below | above)
+    v[below] = ys[0] + (w[below] - xs[0])
+    v[above] = ys[n - 1]
+    if np.any(mid):
+        lo = np.clip(np.searchsorted(xs, w[mid], side="right") - 1, 0, n - 2)
+        f = (w[mid] - xs[lo]) / (xs[lo + 1] - xs[lo])
+        v[mid] = ys[lo] * (1.0 - f) + ys[lo + 1] * f
+    return v
+
+
+def test_pwl_segment_passes_match_the_mask_formula_bitwise():
+    rng = np.random.default_rng(5)
+    for knots in (
+        [(0.5, -0.0)],
+        [(-1.0, -1.0), (0.0, 0.0), (1.0, 0.5)],
+        [(-2.0, -3.0), (-0.3, -0.1), (0.7, 0.45), (1.9, 1.3)],
+    ):
+        code, a, xs, ys = piecewise_linear(knots).kernel_encoding()
+        probes = np.concatenate([
+            xs, (xs[1:] + xs[:-1]) / 2, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+            [-1e308, 1e308, -np.inf, np.inf, np.nan, -0.0, 0.0],
+            rng.uniform(xs[0] - 2.0, xs[-1] + 2.0, size=200),
+        ])
+        for w in (probes, probes.reshape(-1, 1) + np.zeros(3)):
+            for floor in (None, -1e300):
+                got = evaluate_utility(code, a, xs, ys, w, floor)
+                want = pwl_by_masks(xs, ys, w)
+                assert got.tobytes() == (want if floor is None else np.maximum(want, floor)).tobytes()
+        for x in probes:
+            # a 0-d array stays a 0-d array, as the masks keep it
+            got = evaluate_utility(code, a, xs, ys, np.array(x), None)
+            want = pwl_by_masks(xs, ys, np.array(x))
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert got.tobytes() == want.tobytes()
+
+
 # -- parser ------------------------------------------------------------------
 
 
