@@ -1,7 +1,6 @@
 """Optimal trade execution on scenario trees under transient price impact."""
 
 from .dynamics import (
-    ImpactState,
     MarketPath,
     TradeSequence,
     cash_innovation,

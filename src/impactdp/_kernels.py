@@ -5,17 +5,19 @@ A sweep optimizes, for every grid state (xi, zeta, x), the one-step objective
     v(h) = sum_c p_c * continuation_c(xi', zeta', x')
 
 where (xi', zeta') is the child's ``dynamics.transition`` after trading h and
-x' = x + h.  The continuation is either the closed-form forced liquidation
-into the leaves (children at the last decision date) or clamped multilinear
-interpolation into the child's value grid.  All states of a node are swept at
-once as broadcast views of the three axes, xi on axis 0, zeta on axis 1 and x
-on axis 2, and a candidate trade is one scalar for the whole grid.  So each
-intermediate is computed on the axes it depends on: zeta' on the zeta axis,
-x' on the x axis and xi' on the xi-by-zeta slab.  The interpolation follows
-the same split in two stages: it blends the child grid's rows over xi' and
-zeta' once per xi-by-zeta query, for every grid column, and then picks and
-blends the two columns around each x'.  Only the second stage and the utility
-run over every state.
+x' = x + h.  Both sweeps form this sum in ``_over_children`` and differ in the
+continuation only: the closed-form leaf sum ``_leaf_sum`` (close x', sum the
+utility over the leaves; ``forced_layer`` is that sum) for children at the last
+decision date, clamped multilinear interpolation ``_interp3`` into the child's
+value grid before.  All states of a node are swept at once as broadcast views
+of the three axes, xi on axis 0, zeta on axis 1 and x on axis 2, and a
+candidate trade is one scalar for the whole grid.  So each intermediate is
+computed on the axes it depends on: zeta' on the zeta axis, x' on the x axis
+and xi' on the xi-by-zeta slab.  The interpolation follows the same split in
+two stages: it blends the child grid's rows over xi' and zeta' once per
+xi-by-zeta query, for every grid column, and then picks and blends the two
+columns around each x'.  Only the second stage and the utility run over every
+state.
 
 A sweep runs in two phases.  Phase one searches, per state, for a truncation
 bound K = k0 * k_factor**n such that the candidates at h = +-K both fall below
@@ -165,24 +167,45 @@ def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
     return best_v, hs[best_i], nexp, warn
 
 
-def sweep_exact(xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z, k0, kfac, kmax, n_act):
-    """Sweep a node whose children sit at the last decision date."""
+def _over_children(decay, cp, cP, cdelta, cont):
+    """``_sweep``'s candidate: sum_c p_c * cont(c, XI1, ZE1, X1) after each
+    child's transition, with ``cont`` child c's value at its post-trade state.
+    """
 
     def cand(XI, ZE, XX, H):
         AH = abs(H)
-        G = -(XX + H)
-        AG = np.abs(G)
-        tot = np.zeros(np.broadcast_shapes(XI.shape, ZE.shape, XX.shape))
+        X1 = XX + H
+        tot = np.zeros(np.broadcast(XI, ZE, XX).shape)
         for c in range(cp.shape[0]):
             XI1, ZE1 = transition(XI, ZE, H, AH, decay, cP[c], cdelta[c])
-            acc = np.zeros_like(tot)
-            for q in range(goff[c], goff[c + 1]):
-                XI2, _ = transition(XI1, ZE1, G, AG, cdecay[c], gP[q], gd[q])
-                acc += gp[q] * evaluate_utility(ucode, ua, uxs, uys, z + XI2 - gB[q], U_FLOOR)
-            tot += cp[c] * acc
+            tot += cp[c] * cont(c, XI1, ZE1, X1)
         return tot
 
-    return _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act)
+    return cand
+
+
+def _leaf_sum(XI, ZE, XX, decay, lp, lP, ld, lB, ucode, ua, uxs, uys, z):
+    """Closed-form value at the last decision date: close x, sum over leaves."""
+    G = -XX
+    AG = np.abs(G)
+    acc = np.zeros(np.broadcast(XI, ZE, XX).shape)
+    for q in range(lp.shape[0]):
+        XI2, _ = transition(XI, ZE, G, AG, decay, lP[q], ld[q])
+        acc += lp[q] * evaluate_utility(ucode, ua, uxs, uys, z + XI2 - lB[q], U_FLOOR)
+    return acc
+
+
+def sweep_exact(xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z, k0, kfac, kmax, n_act):
+    """Sweep a node whose children sit at the last decision date.
+
+    Child c's leaves are entries goff[c]..goff[c+1]-1 of the g* arrays.
+    """
+
+    def cont(c, XI1, ZE1, X1):
+        q = slice(goff[c], goff[c + 1])
+        return _leaf_sum(XI1, ZE1, X1, cdecay[c], gp[q], gP[q], gd[q], gB[q], ucode, ua, uxs, uys, z)
+
+    return _sweep(_over_children(decay, cp, cP, cdelta, cont), xg, zg, xxg, k0, kfac, kmax, n_act)
 
 
 def sweep_grid(xg, zg, xxg, decay, cp, cP, cdelta, grids, gxi, gze, gxx, k0, kfac, kmax, n_act):
@@ -192,16 +215,10 @@ def sweep_grid(xg, zg, xxg, decay, cp, cP, cdelta, grids, gxi, gze, gxx, k0, kfa
     exact-state one-step calls.
     """
 
-    def cand(XI, ZE, XX, H):
-        AH = abs(H)
-        X1 = XX + H
-        tot = np.zeros(np.broadcast_shapes(XI.shape, ZE.shape, XX.shape))
-        for c in range(cp.shape[0]):
-            XI1, ZE1 = transition(XI, ZE, H, AH, decay, cP[c], cdelta[c])
-            tot += cp[c] * _interp3(grids[c], gxi, gze, gxx, XI1, ZE1, X1)
-        return tot
+    def cont(c, XI1, ZE1, X1):
+        return _interp3(grids[c], gxi, gze, gxx, XI1, ZE1, X1)
 
-    return _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act)
+    return _sweep(_over_children(decay, cp, cP, cdelta, cont), xg, zg, xxg, k0, kfac, kmax, n_act)
 
 
 def forced_layer(xg, zg, xxg, decay, lp, lP, ld, lB, ucode, ua, uxs, uys, z):
@@ -210,16 +227,7 @@ def forced_layer(xg, zg, xxg, decay, lp, lP, ld, lB, ucode, ua, uxs, uys, z):
     The trade is pinned to -x; the value is the expected utility over the
     node's leaves.
     """
-    XI = xg[:, None, None]
-    ZE = zg[None, :, None]
     XX = xxg[None, None, :]
-    G = -XX
-    AG = np.abs(G)
-    shape = (xg.shape[0], zg.shape[0], xxg.shape[0])
-    values = np.zeros(shape)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for q in range(lp.shape[0]):
-            XI2, _ = transition(XI, ZE, G, AG, decay, lP[q], ld[q])
-            values = values + lp[q] * evaluate_utility(ucode, ua, uxs, uys, z + XI2 - lB[q], U_FLOOR)
-    policy = np.broadcast_to(G, shape).copy()
-    return values, policy
+        values = _leaf_sum(xg[:, None, None], zg[None, :, None], XX, decay, lp, lP, ld, lB, ucode, ua, uxs, uys, z)
+    return values, np.broadcast_to(-XX, values.shape).copy()

@@ -211,21 +211,16 @@ PROBE_TOL = 1e-12
 
 def convexity_probe(
     tree: ScenarioTree,
-    u: UtilitySpec | None = None,
-    z: float = 0.0,
     samples: int = 64,
     seed: int = 0,
 ) -> ConvexityProbeReport:
     """Search for a midpoint-convexity violation of the friction cost.
 
     Probes the quadratic friction cost along one market path of the tree
-    (prices zeroed, so the utility and endowment arguments do not enter; they
-    are accepted for interface symmetry with the solvers).  Checks random
-    pairs of liquidating schedules, plus one hand-picked pair known to
-    violate convexity on three-date trees, and reports the first witness with
-    margin above ``PROBE_TOL``.
+    (prices zeroed).  Checks random pairs of liquidating schedules, plus one
+    hand-picked pair known to violate convexity on three-date trees, and
+    reports the first witness with margin above ``PROBE_TOL``.
     """
-    del u, z
     leaf = tree.leaves()[0]
     path = tree.extract_path(leaf.id).path
     m = path.T - 1

@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "MarketPath",
     "TradeSequence",
-    "ImpactState",
     "decay_factor",
     "transition",
     "spread_step",
@@ -42,9 +41,6 @@ __all__ = [
 
 # strategies must return the position to zero within this absolute tolerance
 LIQUIDATION_TOL = 1e-12
-
-# precompute the full decay table only for horizons where O(T^2) memory is free
-_RHO_TABLE_MAX_T = 64
 
 
 def _as_float_array(values: Sequence[float], name: str) -> np.ndarray:
@@ -77,7 +73,6 @@ class MarketPath:
     delta: np.ndarray
     delta_min: float | None = None
     _rsums: np.ndarray = field(init=False, repr=False, compare=False)
-    _rho_table: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.T < 2:
@@ -111,20 +106,11 @@ class MarketPath:
             acc = acc + float(r[k])
             rsums[k + 1] = acc
         object.__setattr__(self, "_rsums", rsums)
-        table = None
-        if self.T <= _RHO_TABLE_MAX_T:
-            table = np.ones((self.T + 1, self.T + 1), dtype=np.float64)
-            for j in range(self.T + 1):
-                for t in range(j, self.T + 1):
-                    table[j, t] = math.exp(-(rsums[t] - rsums[j]))
-        object.__setattr__(self, "_rho_table", table)
 
     def decay(self, j: int, t: int) -> float:
         """Spread decay factor accumulated over the steps j..t-1 (1.0 at j == t)."""
         if not 0 <= j <= t <= self.T:
             raise ValueError(f"need 0 <= j <= t <= T, got j={j}, t={t}")
-        if self._rho_table is not None:
-            return float(self._rho_table[j, t])
         return math.exp(-(float(self._rsums[t]) - float(self._rsums[j])))
 
 
@@ -144,19 +130,6 @@ class TradeSequence:
     @property
     def is_liquidating(self) -> bool:
         return abs(_left_fold_sum(self.h)) <= LIQUIDATION_TOL
-
-
-@dataclass(frozen=True)
-class ImpactState:
-    """Post-trade book state: half-spread zeta >= 0, cash xi, position x."""
-
-    zeta: float
-    xi: float
-    x: float
-
-    def __post_init__(self) -> None:
-        if self.zeta < 0.0:
-            raise ValueError("half-spread zeta must be nonnegative")
 
 
 class InnovationEnvelope(NamedTuple):
@@ -249,16 +222,6 @@ def _kappa_core(
     return -price * last - abs(last) * acc
 
 
-def _kappa_from_table(path: MarketPath, h: Sequence[float]) -> float:
-    t = len(h)
-    table = path._rho_table
-    acc = float(table[0, t]) * path.zeta0
-    for j in range(1, t + 1):
-        acc += float(table[j, t]) / float(path.delta[j - 1]) * abs(float(h[j - 1]))
-    last = float(h[t - 1])
-    return -float(path.P[t]) * last - abs(last) * acc
-
-
 def cash_innovation(path: MarketPath, h: Sequence[float]) -> float:
     """Cash generated by the trade at date t = len(h), history h = (h_1..h_t).
 
@@ -269,8 +232,6 @@ def cash_innovation(path: MarketPath, h: Sequence[float]) -> float:
     t = len(h)
     if not 1 <= t <= path.T:
         raise ValueError(f"history length must be in 1..{path.T}, got {t}")
-    if path._rho_table is not None:
-        return _kappa_from_table(path, h)
     return _kappa_core(path.zeta0, path._rsums, path.delta, float(path.P[t]), h)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import closing_trade
-from .solver import _child_sum, _node_value
+from .solver import _child_sum, _node_value, _replay
 from .tree import PredictableAssignment, ScenarioTree
 from .utility import UtilitySpec
 
@@ -127,21 +127,13 @@ def brute_force_solve(
     with np.errstate(over="ignore"):
         for assignment in enumerate_strategies(tree, grid, cap):
             n += 1
-            v = _walk(tree, u, z, assignment)
+            v = _replay(tree, assignment, u, z)
             key = _assignment_key(tree, assignment)
             if best is None or v > best_v or (v == best_v and key < best_key):
                 best_v = v
                 best = assignment
                 best_key = key
     return OracleResult(value=best_v, strategy=best, candidates=n)
-
-
-def _walk(tree: ScenarioTree, u: UtilitySpec, z: float, assignment: PredictableAssignment) -> float:
-    def decide(node, rsums, deltas, hs, wealth):
-        h = float(assignment.values[node.id])
-        return _child_sum(tree, node, rsums, deltas, hs, wealth, h, u, z, decide)
-
-    return _node_value(tree, tree.root, (0.0,), (), (), 0.0, u, z, decide)
 
 
 def history_dp(

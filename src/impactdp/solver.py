@@ -9,7 +9,9 @@ nothing.  Value functions at interior dates live on rectangular grids and are
 read back with clamped multilinear interpolation, except that children at the
 last decision date are always evaluated in closed form (one cheap sum over
 their leaves), which removes the largest interpolation error from the root
-value.
+value.  ``_sweep_node`` is the one map from a node's date to its kernel: the
+backward pass calls it on the grid axes, ``one_step_optimize`` on one-point
+axes at an exact state.
 
 A node's grid depends only on its own resilience and endowment and on its
 children's (p, P, delta) and subtrees.  ``backward_induce`` gives every node a
@@ -20,7 +22,8 @@ subtree once.  Diagnostics still count every node.
 
 ``evaluate_strategy`` walks the tree with the explicit cash-innovation form
 and is the single evaluation path shared with the exhaustive oracles, which is
-what makes oracle cross-checks exact rather than approximate.
+what makes oracle cross-checks exact rather than approximate: brute force
+scores every candidate with the same replay, unchecked.
 """
 
 from __future__ import annotations
@@ -199,49 +202,6 @@ class OneStep(NamedTuple):
     k_warning: bool
 
 
-# -- node packing for the kernels ------------------------------------------
-
-
-def _pack_children(tree: ScenarioTree, node: TreeNode):
-    kids = tree.children(node.id)
-    cp = np.array([k.p for k in kids], dtype=np.float64)
-    cP = np.array([k.P for k in kids], dtype=np.float64)
-    cdelta = np.array([k.delta for k in kids], dtype=np.float64)
-    return kids, cp, cP, cdelta
-
-
-def _pack_exact(tree: ScenarioTree, node: TreeNode):
-    """Flattened children-plus-leaves data for a node at date T-2."""
-    kids, cp, cP, cdelta = _pack_children(tree, node)
-    cdecay = np.array([math.exp(-k.r) for k in kids], dtype=np.float64)
-    goff = [0]
-    gp, gP, gd, gB = [], [], [], []
-    for k in kids:
-        for leaf in tree.children(k.id):
-            gp.append(leaf.p)
-            gP.append(leaf.P)
-            gd.append(leaf.delta)
-            gB.append(leaf.B)
-        goff.append(len(gp))
-    return (
-        cp,
-        cP,
-        cdelta,
-        cdecay,
-        np.array(goff, dtype=np.int64),
-        np.array(gp, dtype=np.float64),
-        np.array(gP, dtype=np.float64),
-        np.array(gd, dtype=np.float64),
-        np.array(gB, dtype=np.float64),
-    )
-
-
-def _pack_grids(tree: ScenarioTree, node: TreeNode, layers: Mapping[int, NodeGrid]):
-    kids, cp, cP, cdelta = _pack_children(tree, node)
-    grids = np.ascontiguousarray(np.stack([layers[k.id].values for k in kids]))
-    return cp, cP, cdelta, grids
-
-
 # -- backward induction -----------------------------------------------------
 
 
@@ -292,36 +252,14 @@ def _exact(v: float | None) -> str | None:
 
 def _node_grid(tree, node, layers, axes, u, z, config) -> NodeGrid:
     """The grid of one node, its arrays read-only since nodes may share them."""
-    ucode, ua, uxs, uys = u.kernel_encoding()
-    shape = (axes.xi.shape[0], axes.zeta.shape[0], axes.x.shape[0])
-    t = node.t
-    if t == tree.T:
+    if node.t == tree.T:
+        shape = (axes.xi.shape[0], axes.zeta.shape[0], axes.x.shape[0])
         wealth = np.broadcast_to(z + axes.xi[:, None, None] - node.B, shape).copy()
-        vals = evaluate_utility(ucode, ua, uxs, uys, wealth, _kernels.U_FLOOR)
-        grid = NodeGrid(node.id, t, vals, np.zeros(shape))
-    elif t == tree.T - 1:
-        lp, lP, ld, lB = _leaf_arrays(tree, node)
-        vals, pol = _kernels.forced_layer(
-            axes.xi, axes.zeta, axes.x, math.exp(-node.r), lp, lP, ld, lB,
-            ucode, ua, uxs, uys, z,
-        )
-        grid = NodeGrid(node.id, t, vals, pol)
-    elif t == tree.T - 2:
-        packed = _pack_exact(tree, node)
-        vals, pol, nexp, warn = _kernels.sweep_exact(
-            axes.xi, axes.zeta, axes.x, math.exp(-node.r), *packed,
-            ucode, ua, uxs, uys, z,
-            config.k0, config.k_factor, config.max_k_expansions, config.action_count,
-        )
-        grid = NodeGrid(node.id, t, vals, pol, int(nexp.max()), int(warn.sum()))
+        vals = evaluate_utility(*u.kernel_encoding(), wealth, _kernels.U_FLOOR)
+        grid = NodeGrid(node.id, node.t, vals, np.zeros(shape))
     else:
-        cp, cP, cdelta, grids = _pack_grids(tree, node, layers)
-        vals, pol, nexp, warn = _kernels.sweep_grid(
-            axes.xi, axes.zeta, axes.x, math.exp(-node.r), cp, cP, cdelta, grids,
-            axes.xi, axes.zeta, axes.x,
-            config.k0, config.k_factor, config.max_k_expansions, config.action_count,
-        )
-        grid = NodeGrid(node.id, t, vals, pol, int(nexp.max()), int(warn.sum()))
+        swept = _sweep_node(tree, node, axes.xi, axes.zeta, axes.x, layers, axes, u, z, config)
+        grid = NodeGrid(node.id, node.t, *swept)
     if np.isnan(grid.values).any() or np.isposinf(grid.values).any():
         raise SolverNumericError(f"non-finite values in the layer of node {node.id}")
     grid.values.setflags(write=False)
@@ -329,14 +267,41 @@ def _node_grid(tree, node, layers, axes, u, z, config) -> NodeGrid:
     return grid
 
 
-def _leaf_arrays(tree: ScenarioTree, node: TreeNode):
+def _sweep_node(tree, node, xg, zg, xxg, layers, axes, u, z, config):
+    """Values, policy, K expansions and K warnings of a non-leaf node.
+
+    The states are the product of the axes xg, zg, xxg; ``layers`` and
+    ``axes`` hold the children's grids, which only dates before T-2 read.
+    The date picks the kernel: forced liquidation at T-1, the closed-form
+    sweep at T-2, the interpolating sweep before.
+    """
+    ucode, ua, uxs, uys = u.kernel_encoding()
+    decay = math.exp(-node.r)
     kids = tree.children(node.id)
-    return (
-        np.array([k.p for k in kids], dtype=np.float64),
-        np.array([k.P for k in kids], dtype=np.float64),
-        np.array([k.delta for k in kids], dtype=np.float64),
-        np.array([k.B for k in kids], dtype=np.float64),
-    )
+    if node.t == tree.T - 1:
+        lp, lP, ld, lB = _fields(kids, "p", "P", "delta", "B")
+        vals, pol = _kernels.forced_layer(xg, zg, xxg, decay, lp, lP, ld, lB, ucode, ua, uxs, uys, z)
+        return vals, pol, 0, 0
+    cp, cP, cdelta = _fields(kids, "p", "P", "delta")
+    search = (config.k0, config.k_factor, config.max_k_expansions, config.action_count)
+    if node.t == tree.T - 2:
+        leaves = [tree.children(k.id) for k in kids]
+        goff = np.cumsum([0] + [len(ls) for ls in leaves], dtype=np.int64)
+        cdecay = np.array([math.exp(-k.r) for k in kids], dtype=np.float64)
+        packed = _fields([leaf for ls in leaves for leaf in ls], "p", "P", "delta", "B")
+        vals, pol, nexp, warn = _kernels.sweep_exact(
+            xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, *packed, ucode, ua, uxs, uys, z, *search
+        )
+    else:
+        grids = np.ascontiguousarray(np.stack([layers[k.id].values for k in kids]))
+        vals, pol, nexp, warn = _kernels.sweep_grid(
+            xg, zg, xxg, decay, cp, cP, cdelta, grids, axes.xi, axes.zeta, axes.x, *search
+        )
+    return vals, pol, int(nexp.max()), int(warn.sum())
+
+
+def _fields(nodes: Sequence[TreeNode], *names: str) -> tuple[np.ndarray, ...]:
+    return tuple(np.array([getattr(n, name) for n in nodes], dtype=np.float64) for name in names)
 
 
 def one_step_optimize(
@@ -350,52 +315,23 @@ def one_step_optimize(
 ) -> OneStep:
     """Optimal trade at one exact state.
 
-    Runs the sweep kernels on a single-point state grid so the semantics
-    (action set, K expansion, tie-break toward small then negative trades) are
-    exactly those of the grid pass.  At the last decision date the trade is
-    forced to close the position and no search happens.
+    Runs the node's kernel on a single-point state grid, through the same
+    dispatch as the grid pass, so the semantics (action set, K expansion,
+    tie-break toward small then negative trades) are exactly those of the
+    grid pass.  At the last decision date the trade is forced to close the
+    position and no search happens.
     """
     config = config or SolveConfig()
     node = tree.node(node_id)
     if node.t >= tree.T:
         raise ValueError(f"node {node_id} is a leaf, no trade is chosen there")
-    ucode, ua, uxs, uys = u.kernel_encoding()
-    z = float(z)
-    if node.t == tree.T - 1:
-        g = 0.0 if state.x == 0.0 else -state.x
-        value = _forced_value(tree, node, state, g, ucode, ua, uxs, uys, z)
-        return OneStep(g, value, 0, False)
-    xg = np.array([state.xi], dtype=np.float64)
-    zg = np.array([state.zeta], dtype=np.float64)
-    xxg = np.array([state.x], dtype=np.float64)
-    if node.t == tree.T - 2:
-        packed = _pack_exact(tree, node)
-        vals, pol, nexp, warn = _kernels.sweep_exact(
-            xg, zg, xxg, math.exp(-node.r), *packed, ucode, ua, uxs, uys, z,
-            config.k0, config.k_factor, config.max_k_expansions, config.action_count,
-        )
-    else:
-        if value_functions is None:
-            raise ValueError("value grids are required when children carry grids")
-        cp, cP, cdelta, grids = _pack_grids(tree, node, value_functions.layers)
-        ax = value_functions.axes
-        vals, pol, nexp, warn = _kernels.sweep_grid(
-            xg, zg, xxg, math.exp(-node.r), cp, cP, cdelta, grids,
-            ax.xi, ax.zeta, ax.x,
-            config.k0, config.k_factor, config.max_k_expansions, config.action_count,
-        )
-    return OneStep(float(pol[0, 0, 0]), float(vals[0, 0, 0]), int(nexp[0, 0, 0]), bool(warn[0, 0, 0]))
-
-
-def _forced_value(tree, node, state, g, ucode, ua, uxs, uys, z):
-    decay = math.exp(-node.r)
-    ag = abs(g)
-    acc = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for leaf in tree.children(node.id):
-            xi2, _ = transition(state.xi, state.zeta, g, ag, decay, leaf.P, leaf.delta)
-            acc += leaf.p * float(evaluate_utility(ucode, ua, uxs, uys, z + xi2 - leaf.B, _kernels.U_FLOOR))
-    return acc
+    if node.t < tree.T - 2 and value_functions is None:
+        raise ValueError("value grids are required when children carry grids")
+    layers, axes = (None, None) if value_functions is None else (value_functions.layers, value_functions.axes)
+    xg, zg, xxg = (np.array([v], dtype=np.float64) for v in (state.xi, state.zeta, state.x))
+    vals, pol, nexp, warn = _sweep_node(tree, node, xg, zg, xxg, layers, axes, u, float(z), config)
+    # + 0.0: closing a flat position trades 0.0, not -0.0
+    return OneStep(float(pol[0, 0, 0]) + 0.0, float(vals[0, 0, 0]), nexp, bool(warn))
 
 
 def forward_extract(
@@ -456,12 +392,30 @@ def evaluate_strategy(
     if not assignment.is_liquidating(tree):
         raise ValueError("strategy must return the position to zero on every path")
 
-    def decide(node, rsums, deltas, hs, wealth):
-        h = float(assignment.values[node.id])
-        return _child_sum(tree, node, rsums, deltas, hs, wealth, h, u, z, decide)
-
     with np.errstate(over="ignore"):
-        return _node_value(tree, tree.root, (0.0,), (), (), 0.0, u, z, decide)
+        return _replay(tree, assignment, u, z)
+
+
+def _replay(tree: ScenarioTree, assignment: PredictableAssignment, u: UtilitySpec, z: float) -> float:
+    """``evaluate_strategy`` without its checks on the strategy."""
+    return _node_value(tree, tree.root, (0.0,), (), (), 0.0, u, z, _Replay(tree, assignment.values, u, z))
+
+
+class _Replay(NamedTuple):
+    """The ``decide`` step of a walk that plays a fixed strategy.
+
+    An object rather than a closure: a closure that passes itself on refers to
+    itself, a cycle that only the cyclic collector frees.
+    """
+
+    tree: ScenarioTree
+    trades: Mapping[int, float]
+    u: UtilitySpec
+    z: float
+
+    def __call__(self, node, rsums, deltas, hs, wealth) -> float:
+        h = float(self.trades[node.id])
+        return _child_sum(self.tree, node, rsums, deltas, hs, wealth, h, self.u, self.z, self)
 
 
 def _child_sum(

@@ -1,5 +1,6 @@
 """Numeric kernels: floored utility, interpolation, bound search, forced layer."""
 
+import inspect
 import math
 
 import numpy as np
@@ -34,6 +35,29 @@ def grid_problem(rng, monotone=True):
     cP = np.array([1.0, -0.5])
     cdelta = np.array([1.0, 2.0])
     return xg, zg, xxg, decay, cp, cP, cdelta, np.ascontiguousarray(grids)
+
+
+# -- kernel signatures -------------------------------------------------------
+
+
+def test_kernel_parameters_keep_their_positions():
+    # perfbench's tracer reads sweep arguments by position (cp at 4 and n_act
+    # at 14 of sweep_grid, gp at 9 and n_act at 21 of sweep_exact), and the
+    # solver passes every argument by position
+    def names(f):
+        return list(inspect.signature(f).parameters)
+
+    assert names(K.sweep_exact) == [
+        "xg", "zg", "xxg", "decay", "cp", "cP", "cdelta", "cdecay", "goff", "gp", "gP", "gd", "gB",
+        "ucode", "ua", "uxs", "uys", "z", "k0", "kfac", "kmax", "n_act",
+    ]
+    assert names(K.sweep_grid) == [
+        "xg", "zg", "xxg", "decay", "cp", "cP", "cdelta", "grids", "gxi", "gze", "gxx",
+        "k0", "kfac", "kmax", "n_act",
+    ]
+    assert names(K.forced_layer) == [
+        "xg", "zg", "xxg", "decay", "lp", "lP", "ld", "lB", "ucode", "ua", "uxs", "uys", "z",
+    ]
 
 
 # -- floored utility ---------------------------------------------------------

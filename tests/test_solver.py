@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from impactdp import _kernels
-from impactdp.oracle import ActionGrid, history_dp
+from impactdp.oracle import ActionGrid, brute_force_solve, history_dp
 from impactdp.solver import (
     MarketState,
     SolveConfig,
@@ -136,6 +136,23 @@ def test_one_step_rejects_leaves_and_missing_grids():
     deep = generate(preset("binomial"))  # T = 3: the root needs child value grids
     with pytest.raises(ValueError, match="value grids"):
         one_step_optimize(deep, 0, MarketState(0.0, 0.1, 0.0), None, u, 0.0)
+
+
+@pytest.mark.parametrize("u", [exponential(1.0), capped_linear(0.5)])
+def test_one_step_at_the_last_decision_date_reads_the_forced_layer(u):
+    # one dispatch for grids and exact states: at a grid node, the one-step
+    # result is the layer's entry, bit for bit, and a flat close trades +0.0
+    tree = generate(preset("binomial"))
+    vf = backward_induce(tree, u, 0.25, SolveConfig(xi_count=5, zeta_count=4, x_count=5, action_count=5))
+    ax = vf.axes
+    for node in tree.nodes_at(tree.T - 1):
+        layer = vf.layers[node.id]
+        for i, j, k in np.ndindex(layer.values.shape):
+            step = one_step_optimize(tree, node.id, MarketState(ax.xi[i], ax.zeta[j], ax.x[k]), None, u, 0.25)
+            assert step.value.hex() == float(layer.values[i, j, k]).hex()
+            assert step.h.hex() == float(layer.policy[i, j, k] + 0.0).hex()
+            assert (step.k_expansions, step.k_warning) == (0, False)
+    assert math.copysign(1.0, layer.policy[0, 0, 2]) == -1.0  # x = 0 closes with -0.0 in the layer
 
 
 # -- backward induction ------------------------------------------------------
@@ -384,6 +401,26 @@ def test_recursions_leave_no_filled_tables_to_the_cycle_collector():
         gc.garbage.clear()
         gc.enable()
     assert filled == []
+
+
+def test_strategy_replays_leave_no_cycles():
+    # the replay's decide step is an object, not a closure that names itself,
+    # so scoring strategies leaves nothing to the cycle collector
+    tree = generate(preset("binomial"))
+    u = exponential(1.0)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        best = brute_force_solve(tree, u, 0.0, ActionGrid((-1.0, 0.0, 1.0)))
+        evaluate_strategy(tree, best.strategy, u, 0.0)
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert garbage == 0
 
 
 def test_exact_state_dp_needs_actions():
