@@ -8,16 +8,31 @@ where (xi', zeta') is the child's ``dynamics.transition`` after trading h and
 x' = x + h.  Both sweeps form this sum in ``_over_children`` and differ in the
 continuation only: the closed-form leaf sum ``_leaf_sum`` (close x', sum the
 utility over the leaves; ``forced_layer`` is that sum) for children at the last
-decision date, clamped multilinear interpolation ``_interp3`` into the child's
-value grid before.  All states of a node are swept at once as broadcast views
-of the three axes, xi on axis 0, zeta on axis 1 and x on axis 2, and a
-candidate trade is one scalar for the whole grid.  So each intermediate is
-computed on the axes it depends on: zeta' on the zeta axis, x' on the x axis
-and xi' on the xi-by-zeta slab.  The interpolation follows the same split in
+decision date, and before that a read of the child's value grid, by clamped
+multilinear interpolation ``_interp3`` under cap and pwl utility and by the
+CARA hook ``_cara_interp`` under exponential utility.  All states of a node are
+swept at once as broadcast views of the three axes, xi on axis 0, zeta on
+axis 1 and x on axis 2, and a candidate trade is one scalar for the whole
+grid.  So each intermediate is computed on the axes it depends on: zeta' on
+the zeta axis, x' on the x axis and xi' on the xi-by-zeta slab.  The interpolation follows the same split in
 two stages: it blends the child grid's rows over xi' and zeta' once per
 xi-by-zeta query, for every grid column, and then picks and blends the two
 columns around each x'.  Only the second stage and the utility run over every
 state.
+
+Under u(w) = -exp(-a*w) cash enters wealth additively, so a value function
+factors exactly as V(xi, zeta, x) = exp(-a*xi) * V(0, zeta, x).  Exponential
+layers are therefore stored cash-free, on the one-point cash axis xi = 0, and
+swept there.  The CARA hook reads a child as exp(-a*xi') * W(zeta', x'): it
+interpolates the cash-free layer W over (zeta', x') only (the same two stages
+on a single cash row) and applies the cash factor exactly, with no clamp along
+xi.  ``cara_scale`` forms that product as -exp(ln(-W) - a*xi'), which never
+meets 0 * inf: W = -0.0 gives -0.0 and W = -inf gives -inf whatever xi' is.
+Exponential leaf sums are not floored either, so an exponential layer holds
+exact values, and -inf where a state's value overflows even at zero cash.  The
+hook reads such an entry as ``_BLEND_MIN`` (about -4.5e307), the one bound it
+keeps, since a zero blend weight would otherwise form 0 * inf.  ``U_FLOOR`` is
+left to the cap and pwl families, whose grids interpolate along cash.
 
 A sweep runs in two phases.  Phase one searches, per state, for a truncation
 bound K = k0 * k_factor**n such that the candidates at h = +-K both fall below
@@ -46,6 +61,7 @@ from .utility import evaluate_utility
 __all__ = [
     "BACKEND",
     "U_FLOOR",
+    "cara_scale",
     "sweep_exact",
     "sweep_grid",
     "forced_layer",
@@ -54,8 +70,18 @@ __all__ = [
 # the only numeric backend; benchmark reports record it
 BACKEND = "numpy"
 
-# utilities are floored here so interpolation never forms 0 * inf
+# cap and pwl utilities are floored here so interpolation never forms 0 * inf
 U_FLOOR = -1e300
+
+
+# the most negative value that blends of two such values cannot overflow
+_BLEND_MIN = -np.finfo(np.float64).max / 4.0
+
+
+def _floor(ucode):
+    # exponential layers are cash-free and never interpolated along cash, so
+    # their utilities stay exact
+    return None if ucode == 0 else U_FLOOR
 
 
 def _axis_lookup(vals, grid):
@@ -97,9 +123,40 @@ def _interp3(grid, xg, zg, xxg, xi, ze, xx):
     gi = 1.0 - fi
     w0 = _lerp(row(0), row(nz), fi, gi)
     w1 = _lerp(row(1), row(nz + 1), fi, gi)
-    w = _lerp(w0, w1, fj, 1.0 - fj).reshape(-1)
-    col = np.arange(0, w.size, nxx).reshape(np.shape(r)) + k
+    return _columns(_lerp(w0, w1, fj, 1.0 - fj), k, fk)
+
+
+def _columns(w, k, fk):
+    """Stage two: blend columns k and k+1 of the blended rows ``w`` over x."""
+    nxx = w.shape[-1]
+    shape = w.shape[:-1]
+    w = w.reshape(-1)
+    col = np.arange(0, w.size, nxx).reshape(shape) + k
     return _lerp(w.take(col), w[1:].take(col), fk, 1.0 - fk)
+
+
+def _cara_interp(grid, zg, xxg, a, xi, ze, xx):
+    """exp(-a*xi) * W(ze, xx) for the cash-free exponential layer W = grid[0].
+
+    W is interpolated over zeta and x as ``_interp3`` does on one cash row:
+    stage one blends rows j and j+1 over zeta for every grid column, stage two
+    blends the columns around each x query.  The cash factor is exact.
+    """
+    j, fj = _axis_lookup(ze, zg)
+    k, fk = _axis_lookup(xx, xxg)
+    rows = grid.reshape(-1, grid.shape[-1])
+    fj = fj[..., None]
+    w = _lerp(rows.take(j, axis=0), rows[1:].take(j, axis=0), fj, 1.0 - fj)
+    return cara_scale(_columns(w, k, fk), xi, a)
+
+
+def cara_scale(w, xi, a):
+    """exp(-a*xi) * w for exponential values w <= 0, as -exp(ln(-w) - a*xi).
+
+    The value at cash xi of a state whose cash-free value is w.  No 0 * inf:
+    w = -0.0 maps to -0.0 and w = -inf to -inf for every finite xi.
+    """
+    return -np.exp(np.log(-w) - a * xi)
 
 
 def _lerp(lo, hi, f, g):
@@ -189,9 +246,10 @@ def _leaf_sum(XI, ZE, XX, decay, lp, lP, ld, lB, ucode, ua, uxs, uys, z):
     G = -XX
     AG = np.abs(G)
     acc = np.zeros(np.broadcast(XI, ZE, XX).shape)
+    floor = _floor(ucode)
     for q in range(lp.shape[0]):
         XI2, _ = transition(XI, ZE, G, AG, decay, lP[q], ld[q])
-        acc += lp[q] * evaluate_utility(ucode, ua, uxs, uys, z + XI2 - lB[q], U_FLOOR)
+        acc += lp[q] * evaluate_utility(ucode, ua, uxs, uys, z + XI2 - lB[q], floor)
     return acc
 
 
@@ -208,15 +266,27 @@ def sweep_exact(xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB
     return _sweep(_over_children(decay, cp, cP, cdelta, cont), xg, zg, xxg, k0, kfac, kmax, n_act)
 
 
-def sweep_grid(xg, zg, xxg, decay, cp, cP, cdelta, grids, gxi, gze, gxx, k0, kfac, kmax, n_act):
+def sweep_grid(xg, zg, xxg, decay, cp, cP, cdelta, grids, gxi, gze, gxx, k0, kfac, kmax, n_act, alpha=None):
     """Sweep a node whose children carry value grids on the g* axes.
 
     The g* axes match the swept states in the backward pass but not in
-    exact-state one-step calls.
+    exact-state one-step calls.  With ``alpha`` set, the children are
+    cash-free exponential layers of that risk aversion and are read through
+    the CARA hook; ``gxi`` is then the one-point axis at 0 and is not read.
     """
 
-    def cont(c, XI1, ZE1, X1):
-        return _interp3(grids[c], gxi, gze, gxx, XI1, ZE1, X1)
+    if alpha is None:
+
+        def cont(c, XI1, ZE1, X1):
+            return _interp3(grids[c], gxi, gze, gxx, XI1, ZE1, X1)
+
+    else:
+        # a -inf entry (a state whose value overflows even at zero cash) would
+        # make a zero blend weight form 0 * inf, so it is read as _BLEND_MIN
+        finite = np.maximum(grids, _BLEND_MIN)
+
+        def cont(c, XI1, ZE1, X1):
+            return _cara_interp(finite[c], gze, gxx, alpha, XI1, ZE1, X1)
 
     return _sweep(_over_children(decay, cp, cP, cdelta, cont), xg, zg, xxg, k0, kfac, kmax, n_act)
 

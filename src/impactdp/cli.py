@@ -3,8 +3,10 @@
 Subcommands: solve, oracle, evaluate, demo, check, gen-tree.  Reports are
 JSON with sorted keys (CSV for curves via --format csv) and contain no
 timestamps, so identical inputs give byte-identical outputs.  Exit codes:
-0 success, 1 failed check or internal disagreement, 2 invalid input,
-3 numeric failure, 4 enumeration capacity exceeded.
+0 success, 1 failed check or internal disagreement (for ``solve``: a root
+value the replayed strategy does not certify, ``value_gap_ok`` false, reported
+in full all the same), 2 invalid input, 3 numeric failure, 4 enumeration
+capacity exceeded.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="grid solver: value functions plus an extracted strategy")
     _add_source(p)
     _add_common(p)
-    p.add_argument("--grid-xi", type=int, default=41, help="cash grid points")
+    p.add_argument(
+        "--grid-xi", type=int, default=41, help="cash grid points (cap and pwl only: exp layers have no cash axis)"
+    )
     p.add_argument("--grid-zeta", type=int, default=21, help="spread grid points")
     p.add_argument("--grid-x", type=int, default=21, help="position grid points")
     p.add_argument("--actions", type=int, default=201, help="action grid points (odd)")
@@ -142,7 +146,7 @@ def _cmd_solve(args) -> int:
     }
     payload.update(report.to_dict())
     _emit_json(payload, args.out)
-    return 0
+    return 0 if report.diagnostics["value_gap_ok"] else 1
 
 
 def _cmd_oracle(args) -> int:

@@ -182,7 +182,7 @@ def history_dp(
             extract(child, hs + (h,))
 
     extract(tree.root, ())
-    # decide reaches itself through its closure, a cycle that only the cyclic
-    # collector would free, and with it this table
-    choice.clear()
+    # decide and extract reach themselves through their closure cells; emptying
+    # the cells breaks those cycles, so the tables go with this frame
+    del decide, extract
     return OracleResult(value=value, strategy=PredictableAssignment(chosen), candidates=evaluations)

@@ -13,6 +13,16 @@ value.  ``_sweep_node`` is the one map from a node's date to its kernel: the
 backward pass calls it on the grid axes, ``one_step_optimize`` on one-point
 axes at an exact state.
 
+Under exponential utility u(w) = -exp(-alpha*w) cash adds to wealth, so
+V_t(xi, zeta, x) = exp(-alpha*xi) * V_t(0, zeta, x) exactly, and the optimal
+trade does not depend on xi.  Exponential layers are therefore cash-free: each
+holds W_t = V_t(0, ., .) on the one-point cash axis xi = 0, every sweep runs
+on the (zeta, x) states only, and a child grid is read as
+exp(-alpha*xi') * W(zeta', x'), exact along xi with no cash clamp and no
+utility floor (``_kernels`` has the details).  ``one_step_optimize`` runs the
+node at xi = 0 and scales the value to the state's cash.  Cap and pwl layers
+keep the cash axis.  ``exact_state_dp`` and the oracles use no grid at all.
+
 A node's grid depends only on its own resilience and endowment and on its
 children's (p, P, delta) and subtrees.  ``backward_induce`` gives every node a
 bottom-up signature of exactly those floats (bit for bit), computes one grid
@@ -89,7 +99,8 @@ class SolveConfig:
     +-(k0*T), the spread axis covers the worst case reachable with trades that
     large, and the cash axis covers price times trade budget plus friction.
     Auto bounds favor coverage over resolution; pass explicit bounds for tight
-    value comparisons.
+    value comparisons.  ``xi_bounds`` and ``xi_count`` apply to cap and pwl
+    utility only: exponential layers are cash-free and have no cash axis.
     """
 
     xi_bounds: tuple[float, float] | None = None
@@ -124,7 +135,9 @@ class SolveConfig:
         if zb is not None and zb[0] < 0.0:
             raise ValueError("zeta_bounds must be nonnegative")
 
-    def resolve_axes(self, tree: ScenarioTree) -> GridAxes:
+    def resolve_axes(self, tree: ScenarioTree, u: UtilitySpec | None = None) -> GridAxes:
+        """Grid axes for ``tree``; the cash axis is the single point 0.0 when
+        ``u`` is exponential."""
         T = tree.T
         x_max = self.k0 * T
         if self.x_bounds is None:
@@ -137,7 +150,9 @@ class SolveConfig:
         else:
             zeta_hi = self.zeta_bounds[1]
             zeta_axis = np.linspace(self.zeta_bounds[0], zeta_hi, self.zeta_count)
-        if self.xi_bounds is None:
+        if u is not None and u.family == "exp":
+            xi_axis = np.zeros(1)
+        elif self.xi_bounds is None:
             price_abs = max(
                 (abs(tree.node(i).P) for i in tree.node_ids() if tree.node(i).t >= 1),
                 default=0.0,
@@ -211,13 +226,14 @@ def backward_induce(
     """Build value and policy grids for every node, leaves first.
 
     Dates T-1 and T are closed-form layers (forced liquidation, terminal
-    utility); dates at and below T-2 run the adaptive one-step sweep.  Nodes
-    with the same subtree signature share one grid, whose arrays are
+    utility); dates at and below T-2 run the adaptive one-step sweep.  Under
+    exponential utility every layer is cash-free, of shape (1, nzeta, nx).
+    Nodes with the same subtree signature share one grid, whose arrays are
     read-only.  Raises ``SolverNumericError`` if any finished layer contains
     NaN or +inf.
     """
     config = config or SolveConfig()
-    axes = config.resolve_axes(tree)
+    axes = config.resolve_axes(tree, u)
     z = float(z)
     layers: dict[int, NodeGrid] = {}
     sig_of: dict[int, int] = {}  # node id -> signature id
@@ -255,7 +271,8 @@ def _node_grid(tree, node, layers, axes, u, z, config) -> NodeGrid:
     if node.t == tree.T:
         shape = (axes.xi.shape[0], axes.zeta.shape[0], axes.x.shape[0])
         wealth = np.broadcast_to(z + axes.xi[:, None, None] - node.B, shape).copy()
-        vals = evaluate_utility(*u.kernel_encoding(), wealth, _kernels.U_FLOOR)
+        ucode, ua, uxs, uys = u.kernel_encoding()
+        vals = evaluate_utility(ucode, ua, uxs, uys, wealth, _kernels._floor(ucode))
         grid = NodeGrid(node.id, node.t, vals, np.zeros(shape))
     else:
         swept = _sweep_node(tree, node, axes.xi, axes.zeta, axes.x, layers, axes, u, z, config)
@@ -294,8 +311,9 @@ def _sweep_node(tree, node, xg, zg, xxg, layers, axes, u, z, config):
         )
     else:
         grids = np.ascontiguousarray(np.stack([layers[k.id].values for k in kids]))
+        cara = ua if ucode == 0 else None
         vals, pol, nexp, warn = _kernels.sweep_grid(
-            xg, zg, xxg, decay, cp, cP, cdelta, grids, axes.xi, axes.zeta, axes.x, *search
+            xg, zg, xxg, decay, cp, cP, cdelta, grids, axes.xi, axes.zeta, axes.x, *search, cara
         )
     return vals, pol, int(nexp.max()), int(warn.sum())
 
@@ -319,7 +337,9 @@ def one_step_optimize(
     dispatch as the grid pass, so the semantics (action set, K expansion,
     tie-break toward small then negative trades) are exactly those of the
     grid pass.  At the last decision date the trade is forced to close the
-    position and no search happens.
+    position and no search happens.  Under exponential utility the optimal
+    trade does not depend on cash: the node runs at xi = 0, as in the grid
+    pass, and the value is scaled by exp(-alpha * xi).
     """
     config = config or SolveConfig()
     node = tree.node(node_id)
@@ -328,10 +348,16 @@ def one_step_optimize(
     if node.t < tree.T - 2 and value_functions is None:
         raise ValueError("value grids are required when children carry grids")
     layers, axes = (None, None) if value_functions is None else (value_functions.layers, value_functions.axes)
-    xg, zg, xxg = (np.array([v], dtype=np.float64) for v in (state.xi, state.zeta, state.x))
+    cash_free = u.family == "exp"
+    xi = 0.0 if cash_free else state.xi
+    xg, zg, xxg = (np.array([v], dtype=np.float64) for v in (xi, state.zeta, state.x))
     vals, pol, nexp, warn = _sweep_node(tree, node, xg, zg, xxg, layers, axes, u, float(z), config)
+    value = vals[0, 0, 0]
+    if cash_free and state.xi != 0.0:
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            value = _kernels.cara_scale(value, state.xi, u.alpha)
     # + 0.0: closing a flat position trades 0.0, not -0.0
-    return OneStep(float(pol[0, 0, 0]) + 0.0, float(vals[0, 0, 0]), nexp, bool(warn))
+    return OneStep(float(pol[0, 0, 0]) + 0.0, float(value), nexp, bool(warn))
 
 
 def forward_extract(
@@ -535,10 +561,10 @@ def exact_state_dp(
             extract(child, xi1, ze1, x + h)
 
     extract(tree.root, 0.0, tree.zeta0, 0.0)
-    # value and _expect reach each other through their closures, a cycle that
-    # only the cyclic collector would free, and with it these tables
-    memo.clear()
-    best_h.clear()
+    # value and _expect reach each other, and extract itself, through their
+    # closure cells; emptying the cells breaks those cycles, so the tables go
+    # with this frame
+    del value, _expect, extract
     return root_value, PredictableAssignment(values)
 
 

@@ -45,6 +45,23 @@ def test_solve_output_is_byte_deterministic(capsys):
     assert out1 == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def test_uncertified_solve_exits_1_with_the_full_report(tmp_path, capsys):
+    # on this coarse grid the root (-35.2) is far from its replay (0.0): the
+    # report is written in full, and the exit code says it is not certified
+    tree_file = tmp_path / "tree.json"
+    generate(preset("binomial", T=4)).save(tree_file)
+    code, payload, err = run_json(
+        capsys, "solve", "--tree", str(tree_file), "--utility", "cap:cap=1.0",
+        "--grid-xi", "9", "--grid-zeta", "5", "--grid-x", "5", "--actions", "21",
+    )
+    assert code == 1 and err == ""
+    assert set(payload) >= {"root_value", "strategy", "strategy_value", "diagnostics", "config"}
+    assert payload["root_value"] == pytest.approx(-35.157, abs=1e-3)
+    assert payload["strategy_value"] == 0.0
+    assert payload["diagnostics"]["value_gap_ok"] is False
+    assert len(payload["strategy"]) == 15  # a trade for every non-leaf node
+
+
 def test_solve_rejects_even_action_count(capsys):
     code, out, err = run(capsys, "solve", "--gen", "det-example", "--actions", "10")
     assert code == 2 and out == ""

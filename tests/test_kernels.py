@@ -43,7 +43,8 @@ def grid_problem(rng, monotone=True):
 def test_kernel_parameters_keep_their_positions():
     # perfbench's tracer reads sweep arguments by position (cp at 4 and n_act
     # at 14 of sweep_grid, gp at 9 and n_act at 21 of sweep_exact), and the
-    # solver passes every argument by position
+    # solver passes every argument by position; the CARA coefficient of
+    # sweep_grid comes last, after every pinned position
     def names(f):
         return list(inspect.signature(f).parameters)
 
@@ -53,7 +54,7 @@ def test_kernel_parameters_keep_their_positions():
     ]
     assert names(K.sweep_grid) == [
         "xg", "zg", "xxg", "decay", "cp", "cP", "cdelta", "grids", "gxi", "gze", "gxx",
-        "k0", "kfac", "kmax", "n_act",
+        "k0", "kfac", "kmax", "n_act", "alpha",
     ]
     assert names(K.forced_layer) == [
         "xg", "zg", "xxg", "decay", "lp", "lP", "ld", "lB", "ucode", "ua", "uxs", "uys", "z",
@@ -220,6 +221,50 @@ def test_flat_gather_matches_three_index_gather_bitwise():
         check(*[np.array(c).reshape(1, 1, 1) for c in point], (1, 1, 1))
         check(*[np.array(c) for c in point], ())
         check(*point, ())
+
+
+# -- CARA continuation hook --------------------------------------------------
+
+
+def test_cara_hook_scales_cash_exactly():
+    # a cash-free layer W read at cash xi is exp(-a*xi) * W, with no cash axis
+    # to clamp against, and interpolated over zeta and x like _interp3
+    rng = np.random.default_rng(4)
+    _, zg, xxg = small_axes()
+    W = -np.exp(rng.normal(size=(1, zg.size, xxg.size)))
+    a = 1.3
+    for xi in (-300.0, -5.0, 0.0, 7.5, 300.0):
+        for j in range(zg.size):
+            for k in range(xxg.size):
+                got = K._cara_interp(W, zg, xxg, a, xi, zg[j], xxg[k])
+                assert got == pytest.approx(W[0, j, k] * math.exp(-a * xi), rel=1e-13)
+    ze = rng.uniform(-0.5, 2.5, size=(1, 7, 1))
+    xx = rng.uniform(-3.0, 3.0, size=(1, 1, 6))
+    got = K._cara_interp(W, zg, xxg, a, 0.5 * ze, ze, xx)
+    two_rows = np.concatenate([W, W])  # the same layer at cash 0 and 1
+    want = K._interp3(two_rows, np.array([0.0, 1.0]), zg, xxg, 0.0, ze, xx) * np.exp(-a * 0.5 * ze)
+    assert got.shape == (1, 7, 6)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def test_cara_hook_never_forms_nan():
+    w = np.array([-0.0, -np.inf, -2.0])
+    with np.errstate(divide="ignore", over="ignore"):
+        for xi in (-800.0, 0.0, 800.0):
+            got = K.cara_scale(w, xi, 1.0)
+            assert not np.isnan(got).any()
+            assert got[0] == 0.0 and got[1] == -np.inf
+    # a -inf entry next to the queried states: exact queries give zero blend
+    # weights, which must not multiply the infinity
+    xg, zg, xxg = np.array([0.0]), np.linspace(0.0, 2.0, 3), np.linspace(-2.0, 2.0, 5)
+    grids = -np.exp(np.add.outer(zg, np.abs(xxg)))[None, None]
+    grids[0, 0, 2, 4] = -np.inf
+    values, policy, nexp, warn = K.sweep_grid(
+        xg, zg, xxg, 1.0, np.array([1.0]), np.array([0.5]), np.array([1.0]), grids, xg, zg, xxg,
+        1.0, 2.0, 40, 21, 1.0,
+    )
+    assert not np.isnan(values).any()
+    assert np.all(values > -np.inf)
 
 
 # -- sweep semantics ---------------------------------------------------------

@@ -143,7 +143,8 @@ def test_one_step_at_the_last_decision_date_reads_the_forced_layer(u):
     # one dispatch for grids and exact states: at a grid node, the one-step
     # result is the layer's entry, bit for bit, and a flat close trades +0.0
     tree = generate(preset("binomial"))
-    vf = backward_induce(tree, u, 0.25, SolveConfig(xi_count=5, zeta_count=4, x_count=5, action_count=5))
+    config = SolveConfig(xi_count=5, zeta_count=4, x_count=5, action_count=5)
+    vf = backward_induce(tree, u, 0.25, config)
     ax = vf.axes
     for node in tree.nodes_at(tree.T - 1):
         layer = vf.layers[node.id]
@@ -152,7 +153,67 @@ def test_one_step_at_the_last_decision_date_reads_the_forced_layer(u):
             assert step.value.hex() == float(layer.values[i, j, k]).hex()
             assert step.h.hex() == float(layer.policy[i, j, k] + 0.0).hex()
             assert (step.k_expansions, step.k_warning) == (0, False)
+            if u.family == "exp":
+                # the layer holds the values at xi = 0 only; other cash levels
+                # scale them
+                assert_cash_invariant(tree, node, u, 0.25, ax.zeta[j], ax.x[k], config)
     assert math.copysign(1.0, layer.policy[0, 0, 2]) == -1.0  # x = 0 closes with -0.0 in the layer
+
+
+CASH_LEVELS = (-300.0, -5.0, 5.0, 300.0)
+
+
+def direct_kernel(tree, node, u, z, state, config):
+    """Value of the node's closed-form kernel, forced_layer at T-1 and
+    sweep_exact at T-2, run on the one-point axes (xi, zeta, x) of ``state``:
+    the 3-D computation, with no cash-free layer involved."""
+    ucode, ua, uxs, uys = u.kernel_encoding()
+    decay = math.exp(-node.r)
+    kids = tree.children(node.id)
+    xg, zg, xxg = (np.array([v]) for v in (state.xi, state.zeta, state.x))
+
+    def fields(nodes, *names):
+        return tuple(np.array([getattr(n, a) for n in nodes], dtype=np.float64) for a in names)
+
+    if node.t == tree.T - 1:
+        lp, lP, ld, lB = fields(kids, "p", "P", "delta", "B")
+        vals, _ = _kernels.forced_layer(xg, zg, xxg, decay, lp, lP, ld, lB, ucode, ua, uxs, uys, z)
+    else:
+        leaves = [tree.children(k.id) for k in kids]
+        goff = np.cumsum([0] + [len(ls) for ls in leaves], dtype=np.int64)
+        cdecay = np.array([math.exp(-k.r) for k in kids])
+        packed = fields([leaf for ls in leaves for leaf in ls], "p", "P", "delta", "B")
+        search = (config.k0, config.k_factor, config.max_k_expansions, config.action_count)
+        vals, _, _, _ = _kernels.sweep_exact(
+            xg, zg, xxg, decay, *fields(kids, "p", "P", "delta"), cdecay, goff, *packed,
+            ucode, ua, uxs, uys, z, *search,
+        )
+    return float(vals[0, 0, 0])
+
+
+def assert_cash_invariant(tree, node, u, z, zeta, x, config):
+    """One-step calls at cash levels away from 0 keep the trade chosen at
+    xi = 0, and their values match the 3-D kernel run at that cash level."""
+    at_zero = one_step_optimize(tree, node.id, MarketState(0.0, zeta, x), None, u, z, config)
+    assert direct_kernel(tree, node, u, z, MarketState(0.0, zeta, x), config) == at_zero.value
+    for xi in CASH_LEVELS:
+        state = MarketState(xi, zeta, x)
+        step = one_step_optimize(tree, node.id, state, None, u, z, config)
+        assert step.h.hex() == at_zero.h.hex()
+        assert step.value == pytest.approx(direct_kernel(tree, node, u, z, state, config), rel=1e-12, abs=0.0)
+
+
+def test_exponential_one_step_is_cash_invariant():
+    # under u = -exp(-alpha w) the optimal trade does not depend on cash and
+    # the value at cash xi is exp(-alpha xi) times the value at 0
+    tree = generate(preset("binomial", T=4))
+    u = exponential(1.0)
+    config = SolveConfig(action_count=21)
+    nodes = tree.nodes_at(tree.T - 2)
+    assert len(nodes) == 4
+    for node in nodes:
+        for zeta, x in ((0.0, 0.0), (0.4, -1.5), (1.3, 0.75)):
+            assert_cash_invariant(tree, node, u, 0.0, zeta, x, config)
 
 
 # -- backward induction ------------------------------------------------------
@@ -163,9 +224,10 @@ def test_backward_induction_covers_every_node():
     u = exponential(1.0)
     vf = backward_induce(tree, u, 0.0)
     assert set(vf.layers) == set(tree.node_ids())
+    assert vf.axes.xi.tolist() == [0.0]  # exponential layers are cash-free
     for nid, grid in vf.layers.items():
         assert grid.t == tree.node(nid).t
-        assert grid.values.shape == (41, 21, 21)
+        assert grid.values.shape == (1, 21, 21)
         assert np.isfinite(grid.values).all() or (grid.values >= -1e300).all()
 
 
@@ -177,8 +239,9 @@ def test_terminal_layers_are_the_utility_of_final_wealth():
     ax = vf.axes
     for leaf in tree.leaves():
         grid = vf.layers[leaf.id]
-        expect = u(z + ax.xi[:, None, None] - leaf.B)
-        expect = np.maximum(np.broadcast_to(expect, grid.values.shape), -1e300)
+        assert grid.values.shape == (1, 21, 21)
+        # exponential layers are not floored
+        expect = np.broadcast_to(u(z + ax.xi[:, None, None] - leaf.B), grid.values.shape)
         assert np.array_equal(grid.values, expect)
         assert np.all(grid.policy == 0.0)
 
@@ -188,7 +251,7 @@ def test_forced_layers_close_the_position():
     vf = backward_induce(tree, exponential(1.0), 0.0)
     ax = vf.axes
     for node in tree.nodes_at(tree.T - 1):
-        assert np.array_equal(vf.layers[node.id].policy, np.broadcast_to(-ax.x, (41, 21, 21)) + 0.0)
+        assert np.array_equal(vf.layers[node.id].policy, np.broadcast_to(-ax.x, (1, 21, 21)) + 0.0)
 
 
 def test_value_layers_are_monotone_in_cash_on_presets():
@@ -271,20 +334,21 @@ FROZEN_ACTIONS = (-0.2, -0.1, 0.0, 0.1, 0.2)
 # SHA-256 over every layer's values then policy bytes in node-id order, and the
 # float.hex of the root value, the replayed strategy value and the exact-state
 # DP value on FROZEN_ACTIONS.  A refactor of the kernels, the transition or the
-# utility evaluator must leave all of them unchanged.  Recorded with NumPy 2.4
-# on x86-64; a NumPy build whose exp rounds differently needs new values.
+# utility evaluator must leave all of them unchanged.  The exp entries hash
+# cash-free layers, on the one-point cash axis.  Recorded with NumPy 2.4 on
+# x86-64; a NumPy build whose exp rounds differently needs new values.
 FROZEN = {
     "det-example-exp": (
-        "409ec7cf67aaf3a88556b8f46a752820a5ee8dc8d34e03ddbc8dc07fae9cc4c7",
+        "eaa3cee1480751a200a0a59ca71ba5ec067c8cbf3776d113da484950bb410f34",
         "-0x1.d8a2b4ac44685p-1", "-0x1.d8a2b4ac44685p-1", "-0x1.d8a2b4ac44685p-1",
     ),
     "binomial-exp": (
-        "64819625a07794d3624ce03a27f05f8f94ac289939971f9136c446d326e09fe6",
-        "-0x1.cf03036000bf8p+9", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+        "86af963d0fc2aaa752ffdc25663a96c519a8e4518d0edd0c365d201fe35ff778",
+        "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
     ),
     "notconvex-exp": (
-        "03fea1a45d4f984ae4dc83cfdff5f7026bc28974120ba4e532f99cf15ad2a902",
-        "-0x1.0b8e12a2fa61dp+24", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+        "c8c8f9afd10bfcb363f7cd17905b378fa47a7a87fbacf0bc63005b02ad02f573",
+        "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
     ),
     "binomial-T4-cap": (
         "0a53ae3e7e3b2a6a38d299f8ce4b55cf95ebcfb87c6766d0046bdb1f17ae5e93",
@@ -383,8 +447,9 @@ def test_exact_state_dp_agrees_with_history_indexed_oracle():
 
 
 def test_recursions_leave_no_filled_tables_to_the_cycle_collector():
-    # their nested recursive functions form reference cycles; the memo tables
-    # must be emptied on return, not held until the next cyclic collection
+    # their nested recursive functions reach themselves through closure cells,
+    # which are emptied on return: neither the memo tables nor anything else
+    # is left for the next cyclic collection
     tree = generate(preset("binomial"))
     u = exponential(1.0)
     grid = ActionGrid((-1.0, 0.0, 1.0))
@@ -396,11 +461,13 @@ def test_recursions_leave_no_filled_tables_to_the_cycle_collector():
         history_dp(tree, u, 0.0, grid)
         gc.collect()
         filled = [o for o in gc.garbage if isinstance(o, dict) and o]
+        garbage = len(gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
     assert filled == []
+    assert garbage == 0
 
 
 def test_strategy_replays_leave_no_cycles():
@@ -442,6 +509,29 @@ def test_solve_deterministic_example_end_to_end():
     assert d["value_gap_ok"] is True and d["value_gap"] <= 1e-9
     payload = report.to_dict()
     assert set(payload) == {"root_value", "strategy", "strategy_value", "diagnostics"}
+
+
+@pytest.mark.parametrize("name, T", [("binomial", 3), ("binomial", 4), ("binomial", 5), ("notconvex", 3)])
+def test_default_config_certifies_exponential_presets(name, T):
+    tree = generate(preset(name, T=T))
+    u = exponential(1.0)
+    report = solve(tree, u, 0.0)
+    idle = PredictableAssignment({n: 0.0 for n in tree.node_ids() if tree.node(n).t < tree.T})
+    d = report.diagnostics
+    assert d["value_gap_ok"] is True
+    assert report.strategy_value >= evaluate_strategy(tree, idle, u, 0.0)
+    assert d["k_warnings"] == 0
+    # cash-free layers leave nothing to count; binomial T = 4 used to report
+    # 1106 drops of one ulp at the old utility floor
+    assert d["monotonicity_violations"] == 0
+
+
+@pytest.mark.parametrize("name", ["binomial-T4-cap", "trinomial-pwl"])
+def test_cash_axis_monotonicity_count_under_cap_and_pwl(name):
+    tree, u = frozen_instance(name)
+    vf = backward_induce(tree, u, 0.0, FROZEN_CONFIG)
+    assert vf.axes.xi.size == FROZEN_CONFIG.xi_count
+    assert vf.diagnostics["monotonicity_violations"] == 0
 
 
 def test_solve_rejects_invalid_trees():
