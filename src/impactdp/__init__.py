@@ -18,7 +18,6 @@ from .tree import (
     PredictableAssignment,
     ScenarioTree,
     TreeNode,
-    conditional_expectation,
     generate,
     monotone_depth_check,
     preset,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import closing_trade
-from .solver import _child_sum, _node_value, _replay
+from .solver import _child_sum, _node_value, _replay, _tie_key
 from .tree import PredictableAssignment, ScenarioTree
 from .utility import UtilitySpec
 
@@ -104,13 +104,6 @@ def enumerate_strategies(tree: ScenarioTree, grid: ActionGrid, cap: int = DEFAUL
         yield PredictableAssignment(_closure_values(tree, dict(zip(ids, combo))))
 
 
-def _assignment_key(tree: ScenarioTree, assignment: PredictableAssignment) -> tuple:
-    return tuple(
-        (abs(assignment.values[i]), 1 if assignment.values[i] > 0.0 else 0)
-        for i in tree.decision_ids()
-    )
-
-
 def brute_force_solve(
     tree: ScenarioTree, u: UtilitySpec, z: float, grid: ActionGrid, cap: int = DEFAULT_CAP
 ) -> OracleResult:
@@ -124,11 +117,12 @@ def brute_force_solve(
     best: PredictableAssignment | None = None
     best_key: tuple | None = None
     n = 0
+    ids = tree.decision_ids()
     with np.errstate(over="ignore"):
         for assignment in enumerate_strategies(tree, grid, cap):
             n += 1
             v = _replay(tree, assignment, u, z)
-            key = _assignment_key(tree, assignment)
+            key = tuple(_tie_key(assignment.values[i]) for i in ids)
             if best is None or v > best_v or (v == best_v and key < best_key):
                 best_v = v
                 best = assignment
@@ -158,7 +152,7 @@ def history_dp(
         for h in grid.values:
             evaluations += 1
             v = _child_sum(tree, node, rsums, deltas, hs, wealth, h, u, z, decide)
-            key = (abs(h), 1 if h > 0.0 else 0)
+            key = _tie_key(h)
             if v > best_v or (v == best_v and key < best_key):
                 best_v = v
                 best_h = h

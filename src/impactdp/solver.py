@@ -5,30 +5,34 @@ cash, half-spread and position.  Leaves evaluate terminal utility, the last
 decision date is forced (the position must be closed), and every earlier date
 maximizes the one-step objective over a symmetric action grid whose half-width
 K is expanded until the boundary trades are provably dominated by doing
-nothing.  Value functions at interior dates live on rectangular grids and are
-read back with clamped multilinear interpolation, except that children at the
-last decision date are always evaluated in closed form (one cheap sum over
-their leaves), which removes the largest interpolation error from the root
-value.  ``_sweep_node`` is the one map from a node's date to its kernel: the
+nothing.  A date's value function serves only as the continuation of the date
+before, and dates T-1 and T are always summed in closed form (one cheap sum
+over the leaves of each last-decision-date child), so value grids exist at
+dates 1..T-2 only: they are read back with clamped multilinear interpolation
+by the sweeps of the date before, and the root value comes from a one-step
+optimization at the exact root state.  ``_sweep_node`` is the one map from a
+node's date to its kernel, and checks every result for NaN and +inf: the
 backward pass calls it on the grid axes, ``one_step_optimize`` on one-point
 axes at an exact state.
 
-Under exponential utility u(w) = -exp(-alpha*w) cash adds to wealth, so
-V_t(xi, zeta, x) = exp(-alpha*xi) * V_t(0, zeta, x) exactly, and the optimal
-trade does not depend on xi.  Exponential layers are therefore cash-free: each
-holds W_t = V_t(0, ., .) on the one-point cash axis xi = 0, every sweep runs
+Under exponential utility u(w) = -exp(-alpha*w) cash and the endowment z add
+to wealth, so V_t(xi, zeta, x) = exp(-alpha*(xi + z)) * V_t(0, zeta, x) with
+V_t(0, ., .) taken at z = 0, and the optimal trade depends on neither.
+Exponential layers are therefore cash-free: each holds W_t = V_t(0, ., .) on
+the one-point cash axis xi = 0 with the kernels run at z = 0, every sweep runs
 on the (zeta, x) states only, and a child grid is read as
 exp(-alpha*xi') * W(zeta', x'), exact along xi with no cash clamp and no
 utility floor (``_kernels`` has the details).  ``one_step_optimize`` runs the
-node at xi = 0 and scales the value to the state's cash.  Cap and pwl layers
-keep the cash axis.  ``exact_state_dp`` and the oracles use no grid at all.
+node at xi = z = 0 and scales the value to the state's cash plus z.  Cap and
+pwl layers keep the cash axis and z.  ``exact_state_dp`` and the oracles use
+no grid at all.
 
 A node's grid depends only on its own resilience and endowment and on its
-children's (p, P, delta) and subtrees.  ``backward_induce`` gives every node a
-bottom-up signature of exactly those floats (bit for bit), computes one grid
-per distinct signature and lets the nodes that share a signature share its
-read-only arrays, so a recombining lattice or an iid tree sweeps each distinct
-subtree once.  Diagnostics still count every node.
+children's (p, P, delta) and subtrees.  ``backward_induce`` gives every node
+below the root a bottom-up signature of exactly those floats (bit for bit),
+computes one grid per distinct signature at dates 1..T-2 and lets the nodes
+that share a signature share its read-only arrays, so a recombining lattice or
+an iid tree sweeps each distinct subtree once.
 
 ``evaluate_strategy`` walks the tree with the explicit cash-innovation form
 and is the single evaluation path shared with the exhaustive oracles, which is
@@ -47,7 +51,7 @@ import numpy as np
 from . import _kernels
 from .dynamics import _kappa_core, closing_trade, transition
 from .tree import PredictableAssignment, ScenarioTree, TreeNode
-from .utility import UtilitySpec, evaluate_utility
+from .utility import UtilitySpec
 
 __all__ = [
     "MarketState",
@@ -205,6 +209,9 @@ class NodeGrid:
 
 @dataclass
 class ValueFunctions:
+    """The grids of the nodes at dates 1..T-2, the only ones a sweep reads,
+    and their diagnostics."""
+
     axes: GridAxes
     layers: dict[int, NodeGrid]
     diagnostics: dict = field(default_factory=dict)
@@ -223,14 +230,16 @@ class OneStep(NamedTuple):
 def backward_induce(
     tree: ScenarioTree, u: UtilitySpec, z: float, config: SolveConfig | None = None
 ) -> ValueFunctions:
-    """Build value and policy grids for every node, leaves first.
+    """Build value and policy grids for the nodes at dates 1..T-2, leaves first.
 
-    Dates T-1 and T are closed-form layers (forced liquidation, terminal
-    utility); dates at and below T-2 run the adaptive one-step sweep.  Under
+    These are the grids the sweeps of dates 0..T-3 read; the root value and
+    every trade come from ``one_step_optimize`` at exact states, and dates T-1
+    and T enter only through the closed-form leaf sums of the kernels, so no
+    grid is built for them.  Every node below the root still gets a subtree
+    signature, since a node's signature holds its children's.  Under
     exponential utility every layer is cash-free, of shape (1, nzeta, nx).
     Nodes with the same subtree signature share one grid, whose arrays are
-    read-only.  Raises ``SolverNumericError`` if any finished layer contains
-    NaN or +inf.
+    read-only.  Raises ``SolverNumericError`` if a layer contains NaN or +inf.
     """
     config = config or SolveConfig()
     axes = config.resolve_axes(tree, u)
@@ -238,25 +247,28 @@ def backward_induce(
     layers: dict[int, NodeGrid] = {}
     sig_of: dict[int, int] = {}  # node id -> signature id
     sig_ids: dict[tuple, int] = {}  # signature -> its id, in order of first sight
-    computed: dict[int, NodeGrid] = {}  # signature id -> the grid made for it
-    for t in range(tree.T, -1, -1):
+    computed: dict[int, tuple] = {}  # signature id -> the sweep made for it
+    for t in range(tree.T, 0, -1):
         for node in tree.nodes_at(t):
             kids = tuple(
                 (_exact(k.p), _exact(k.P), _exact(k.delta), sig_of[k.id]) for k in tree.children(node.id)
             )
             sig = sig_ids.setdefault((_exact(node.r), _exact(node.B), kids), len(sig_ids))
             sig_of[node.id] = sig
+            if t > tree.T - 2:
+                continue
             if sig not in computed:
-                computed[sig] = _node_grid(tree, node, layers, axes, u, z, config)
-            grid = computed[sig]
-            layers[node.id] = NodeGrid(node.id, t, grid.values, grid.policy, grid.k_expansions, grid.k_warnings)
+                computed[sig] = _sweep_node(tree, node, axes.xi, axes.zeta, axes.x, layers, axes, u, z, config)
+                for arr in computed[sig][:2]:
+                    arr.setflags(write=False)  # nodes may share them
+            layers[node.id] = NodeGrid(node.id, t, *computed[sig])
     diagnostics = {
         "k_expansions": max((g.k_expansions for g in layers.values()), default=0),
         "k_warnings": sum(g.k_warnings for g in layers.values()),
         "monotonicity_violations": int(
             sum(np.sum(g.values[1:, :, :] < g.values[:-1, :, :]) for g in layers.values())
         ),
-        "distinct_grids": sum(1 for g in computed.values() if g.t <= tree.T - 2),
+        "distinct_grids": len(computed),
     }
     return ValueFunctions(axes=axes, layers=layers, diagnostics=diagnostics)
 
@@ -266,56 +278,46 @@ def _exact(v: float | None) -> str | None:
     return None if v is None else float(v).hex()
 
 
-def _node_grid(tree, node, layers, axes, u, z, config) -> NodeGrid:
-    """The grid of one node, its arrays read-only since nodes may share them."""
-    if node.t == tree.T:
-        shape = (axes.xi.shape[0], axes.zeta.shape[0], axes.x.shape[0])
-        wealth = np.broadcast_to(z + axes.xi[:, None, None] - node.B, shape).copy()
-        ucode, ua, uxs, uys = u.kernel_encoding()
-        vals = evaluate_utility(ucode, ua, uxs, uys, wealth, _kernels._floor(ucode))
-        grid = NodeGrid(node.id, node.t, vals, np.zeros(shape))
-    else:
-        swept = _sweep_node(tree, node, axes.xi, axes.zeta, axes.x, layers, axes, u, z, config)
-        grid = NodeGrid(node.id, node.t, *swept)
-    if np.isnan(grid.values).any() or np.isposinf(grid.values).any():
-        raise SolverNumericError(f"non-finite values in the layer of node {node.id}")
-    grid.values.setflags(write=False)
-    grid.policy.setflags(write=False)
-    return grid
-
-
 def _sweep_node(tree, node, xg, zg, xxg, layers, axes, u, z, config):
     """Values, policy, K expansions and K warnings of a non-leaf node.
 
     The states are the product of the axes xg, zg, xxg; ``layers`` and
     ``axes`` hold the children's grids, which only dates before T-2 read.
     The date picks the kernel: forced liquidation at T-1, the closed-form
-    sweep at T-2, the interpolating sweep before.
+    sweep at T-2, the interpolating sweep before.  Exponential kernels run at
+    z = 0, as the cash-free layers are.  Raises ``SolverNumericError`` if a
+    value is NaN or +inf.
     """
     ucode, ua, uxs, uys = u.kernel_encoding()
+    if ucode == 0:
+        z = 0.0
     decay = math.exp(-node.r)
     kids = tree.children(node.id)
     if node.t == tree.T - 1:
         lp, lP, ld, lB = _fields(kids, "p", "P", "delta", "B")
         vals, pol = _kernels.forced_layer(xg, zg, xxg, decay, lp, lP, ld, lB, ucode, ua, uxs, uys, z)
-        return vals, pol, 0, 0
-    cp, cP, cdelta = _fields(kids, "p", "P", "delta")
-    search = (config.k0, config.k_factor, config.max_k_expansions, config.action_count)
-    if node.t == tree.T - 2:
-        leaves = [tree.children(k.id) for k in kids]
-        goff = np.cumsum([0] + [len(ls) for ls in leaves], dtype=np.int64)
-        cdecay = np.array([math.exp(-k.r) for k in kids], dtype=np.float64)
-        packed = _fields([leaf for ls in leaves for leaf in ls], "p", "P", "delta", "B")
-        vals, pol, nexp, warn = _kernels.sweep_exact(
-            xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, *packed, ucode, ua, uxs, uys, z, *search
-        )
+        nexp = warn = 0
     else:
-        grids = np.ascontiguousarray(np.stack([layers[k.id].values for k in kids]))
-        cara = ua if ucode == 0 else None
-        vals, pol, nexp, warn = _kernels.sweep_grid(
-            xg, zg, xxg, decay, cp, cP, cdelta, grids, axes.xi, axes.zeta, axes.x, *search, cara
-        )
-    return vals, pol, int(nexp.max()), int(warn.sum())
+        cp, cP, cdelta = _fields(kids, "p", "P", "delta")
+        search = (config.k0, config.k_factor, config.max_k_expansions, config.action_count)
+        if node.t == tree.T - 2:
+            leaves = [tree.children(k.id) for k in kids]
+            goff = np.cumsum([0] + [len(ls) for ls in leaves], dtype=np.int64)
+            cdecay = np.array([math.exp(-k.r) for k in kids], dtype=np.float64)
+            packed = _fields([leaf for ls in leaves for leaf in ls], "p", "P", "delta", "B")
+            vals, pol, nexp, warn = _kernels.sweep_exact(
+                xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, *packed, ucode, ua, uxs, uys, z, *search
+            )
+        else:
+            grids = np.ascontiguousarray(np.stack([layers[k.id].values for k in kids]))
+            cara = ua if ucode == 0 else None
+            vals, pol, nexp, warn = _kernels.sweep_grid(
+                xg, zg, xxg, decay, cp, cP, cdelta, grids, axes.xi, axes.zeta, axes.x, *search, cara
+            )
+        nexp, warn = int(nexp.max()), int(warn.sum())
+    if np.isnan(vals).any() or np.isposinf(vals).any():
+        raise SolverNumericError(f"non-finite values at node {node.id}")
+    return vals, pol, nexp, warn
 
 
 def _fields(nodes: Sequence[TreeNode], *names: str) -> tuple[np.ndarray, ...]:
@@ -338,8 +340,9 @@ def one_step_optimize(
     tie-break toward small then negative trades) are exactly those of the
     grid pass.  At the last decision date the trade is forced to close the
     position and no search happens.  Under exponential utility the optimal
-    trade does not depend on cash: the node runs at xi = 0, as in the grid
-    pass, and the value is scaled by exp(-alpha * xi).
+    trade depends on neither cash nor the endowment z: the node runs at
+    xi = z = 0, as in the grid pass, and the value is scaled by
+    exp(-alpha * (xi + z)).
     """
     config = config or SolveConfig()
     node = tree.node(node_id)
@@ -353,9 +356,10 @@ def one_step_optimize(
     xg, zg, xxg = (np.array([v], dtype=np.float64) for v in (xi, state.zeta, state.x))
     vals, pol, nexp, warn = _sweep_node(tree, node, xg, zg, xxg, layers, axes, u, float(z), config)
     value = vals[0, 0, 0]
-    if cash_free and state.xi != 0.0:
+    shift = state.xi + float(z)
+    if cash_free and shift != 0.0:
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            value = _kernels.cara_scale(value, state.xi, u.alpha)
+            value = _kernels.cara_scale(value, shift, u.alpha)
     # + 0.0: closing a flat position trades 0.0, not -0.0
     return OneStep(float(pol[0, 0, 0]) + 0.0, float(value), nexp, bool(warn))
 
@@ -375,29 +379,42 @@ def forward_extract(
     exact-state optimization along the way.
     """
     config = config or SolveConfig()
-    values: dict[int, float] = {}
-    root_step: list[OneStep] = []
-    diag = {"k_expansions": 0, "k_warnings": 0}
+    steps: list[OneStep] = []
 
-    def descend(node: TreeNode, state: MarketState, trades: tuple[float, ...]) -> None:
+    def pick(node: TreeNode, xi: float, zeta: float, x: float) -> float:
+        steps.append(one_step_optimize(tree, node.id, MarketState(xi, zeta, x), value_functions, u, z, config))
+        return steps[-1].h
+
+    assignment = _exact_walk(tree, pick)
+    diag = {
+        "k_expansions": max(s.k_expansions for s in steps),
+        "k_warnings": sum(int(s.k_warning) for s in steps),
+    }
+    return assignment, steps[0], diag
+
+
+def _exact_walk(tree: ScenarioTree, pick: Callable) -> PredictableAssignment:
+    """The trades along every path from the root's exact state.
+
+    ``pick(node, xi, zeta, x)`` chooses the trade at a node before the last
+    decision date; the walk closes the position at T-1 and applies
+    ``dynamics.transition`` in between.  The root is picked first.
+    """
+    values: dict[int, float] = {}
+    stack = [(tree.root, 0.0, tree.zeta0, 0.0)]
+    while stack:
+        node, xi, zeta, x = stack.pop()
         if node.t == tree.T - 1:
-            values[node.id] = closing_trade(trades)
-            return
-        step = one_step_optimize(tree, node.id, state, value_functions, u, z, config)
-        if node.id == tree.root_id:
-            root_step.append(step)
-        diag["k_expansions"] = max(diag["k_expansions"], step.k_expansions)
-        diag["k_warnings"] += int(step.k_warning)
-        h = step.h
+            values[node.id] = 0.0 if x == 0.0 else -x
+            continue
+        h = pick(node, xi, zeta, x)
         values[node.id] = h
         ah = abs(h)
         decay = math.exp(-node.r)
-        for child in tree.children(node.id):
-            xi1, ze1 = transition(state.xi, state.zeta, h, ah, decay, child.P, child.delta)
-            descend(child, MarketState(xi1, ze1, state.x + h), trades + (h,))
-
-    descend(tree.root, MarketState(0.0, tree.zeta0, 0.0), ())
-    return PredictableAssignment(values), root_step[0], diag
+        for child in reversed(tree.children(node.id)):
+            xi1, ze1 = transition(xi, zeta, h, ah, decay, child.P, child.delta)
+            stack.append((child, xi1, ze1, x + h))
+    return PredictableAssignment(values)
 
 
 # -- exact strategy evaluation (shared with the oracles) --------------------
@@ -486,6 +503,16 @@ def _node_value(
     return decide(node, rsums, deltas, hs, wealth)
 
 
+def _tie_key(h: float) -> tuple[float, int]:
+    """Order among trades of equal value: the smaller |h| first, then the sale.
+
+    ``exact_state_dp`` and the oracles take a candidate of equal value when
+    its key is smaller; the grid sweeps reach the same order by scanning the
+    actions as 0, -d, +d, -2d, +2d, ...
+    """
+    return (abs(h), 1 if h > 0.0 else 0)
+
+
 # -- exact-state certification ----------------------------------------------
 
 
@@ -512,25 +539,15 @@ def exact_state_dp(
         if key in memo:
             return memo[key]
         if node.t == tree.T - 1:
-            h = 0.0 if x == 0.0 else -x
-            v = _expect(node, xi, zeta, x, h)
-            best_h[key] = h
+            v = _expect(node, xi, zeta, x, 0.0 if x == 0.0 else -x)
         else:
-            v = -math.inf
-            ba = 0.0
-            bs = 0
             picked = acts[0]
-            first = True
-            for h in acts:
+            v = _expect(node, xi, zeta, x, picked)
+            for h in acts[1:]:
                 cand = _expect(node, xi, zeta, x, h)
-                a = abs(h)
-                s = 1 if h > 0.0 else 0
-                if first or cand > v or (cand == v and (a < ba or (a == ba and s < bs))):
+                if cand > v or (cand == v and _tie_key(h) < _tie_key(picked)):
                     v = cand
-                    ba = a
-                    bs = s
                     picked = h
-                    first = False
             best_h[key] = picked
         memo[key] = v
         return v
@@ -547,25 +564,11 @@ def exact_state_dp(
     with np.errstate(over="ignore"):
         root_value = value(tree.root, 0.0, tree.zeta0, 0.0)
 
-    values: dict[int, float] = {}
-
-    def extract(node: TreeNode, xi: float, zeta: float, x: float) -> None:
-        if node.t == tree.T:
-            return
-        h = best_h[(node.id, xi, zeta, x)]
-        values[node.id] = h
-        decay = math.exp(-node.r)
-        ah = abs(h)
-        for child in tree.children(node.id):
-            xi1, ze1 = transition(xi, zeta, h, ah, decay, child.P, child.delta)
-            extract(child, xi1, ze1, x + h)
-
-    extract(tree.root, 0.0, tree.zeta0, 0.0)
-    # value and _expect reach each other, and extract itself, through their
-    # closure cells; emptying the cells breaks those cycles, so the tables go
-    # with this frame
-    del value, _expect, extract
-    return root_value, PredictableAssignment(values)
+    strategy = _exact_walk(tree, lambda node, xi, zeta, x: best_h[(node.id, xi, zeta, x)])
+    # value and _expect reach each other through their closure cells; emptying
+    # the cells breaks that cycle, so the tables go with this frame
+    del value, _expect
+    return root_value, strategy
 
 
 # -- top level --------------------------------------------------------------

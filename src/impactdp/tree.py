@@ -34,7 +34,6 @@ __all__ = [
     "PRESET_NAMES",
     "monotone_depth_check",
     "MonotoneDepthReport",
-    "conditional_expectation",
 ]
 
 PROB_TOL = 1e-9
@@ -177,8 +176,8 @@ class ScenarioTree:
         v: list[str] = []
         if self.T < 2:
             v.append(f"horizon T must be at least 2, got {self.T}")
-        if self.zeta0 < 0.0:
-            v.append(f"initial half-spread zeta0 must be nonnegative, got {self.zeta0}")
+        if not 0.0 <= self.zeta0 < math.inf:
+            v.append(f"initial half-spread zeta0 must be finite and nonnegative, got {self.zeta0}")
         if self.delta_min <= 0.0:
             v.append(f"depth floor delta_min must be positive, got {self.delta_min}")
         root = self.root
@@ -221,6 +220,10 @@ class ScenarioTree:
                 )
             if node.t == self.T and node.B is None:
                 v.append(f"leaf {nid} is missing the endowment B")
+            for name in ("P", "r", "B"):
+                value = getattr(node, name)
+                if value is not None and not math.isfinite(value):
+                    v.append(f"node {nid} {name}={value} is not finite")
         return ValidationReport(tuple(v))
 
     # -- paths ------------------------------------------------------------
@@ -332,26 +335,6 @@ class ScenarioTree:
     def load(cls, path) -> "ScenarioTree":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
-
-
-def conditional_expectation(
-    tree: ScenarioTree, node_id: int, leaf_values: Mapping[int, float]
-) -> float:
-    """Expectation of per-leaf values conditional on standing at ``node_id``.
-
-    Computed as the nested sum over children in ascending id order; the
-    oracles rely on this exact reduction order, so it lives in one place.
-    """
-    node = tree.node(node_id)
-    kids = tree.children(node_id)
-    if not kids:
-        if node_id not in leaf_values:
-            raise ValueError(f"leaf {node_id} has no value assigned")
-        return float(leaf_values[node_id])
-    acc = 0.0
-    for child in kids:
-        acc += child.p * conditional_expectation(tree, child.id, leaf_values)
-    return acc
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,18 @@ def test_check_flags_invalid_trees(tmp_path, capsys):
     assert payload["valid"] is False and payload["violations"]
 
 
+def test_non_finite_prices_make_a_tree_invalid(tmp_path, capsys):
+    # JSON readers accept NaN; validation must not
+    path = tmp_path / "nan.json"
+    path.write_text(generate(preset("det-example")).to_json().replace('"P": 1.0', '"P": NaN'))
+    assert "NaN" in path.read_text()
+    code, payload, _ = run_json(capsys, "check", "--tree", str(path))
+    assert code == 1 and payload["valid"] is False
+    assert any("not finite" in v for v in payload["violations"])
+    code, out, err = run(capsys, "solve", "--tree", str(path))
+    assert code == 2 and out == "" and "invalid tree" in err
+
+
 # -- input handling ----------------------------------------------------------
 
 def test_missing_tree_file_is_an_input_error(capsys):

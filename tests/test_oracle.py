@@ -125,12 +125,10 @@ def test_tie_break_prefers_selling_between_equal_magnitudes():
     assert res.value == -100.0
     assert res.strategy.trade_at(0) == 0.0  # smallest magnitude wins the tie
     # with zero excluded by construction impossible, compare the key order
-    from impactdp.oracle import _assignment_key
-    from impactdp.tree import PredictableAssignment
+    from impactdp.solver import _tie_key
 
-    minus = _assignment_key(tree, PredictableAssignment({0: -0.5, 1: 0.5}))
-    plus = _assignment_key(tree, PredictableAssignment({0: 0.5, 1: -0.5}))
-    assert minus < plus  # selling sorts ahead of buying at equal magnitude
+    assert _tie_key(-0.5) < _tie_key(0.5)  # selling sorts ahead of buying at equal magnitude
+    assert _tie_key(0.0) < _tie_key(-0.5)
 
 
 def test_history_dp_evaluation_count():

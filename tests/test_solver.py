@@ -138,26 +138,39 @@ def test_one_step_rejects_leaves_and_missing_grids():
         one_step_optimize(deep, 0, MarketState(0.0, 0.1, 0.0), None, u, 0.0)
 
 
+def forced_grid(tree, node, u, z, axes):
+    """``_kernels.forced_layer`` of a last-decision-date node on the grid
+    axes, run at z = 0 under exp as the solver runs it."""
+    ucode, ua, uxs, uys = u.kernel_encoding()
+    lp, lP, ld, lB = (np.array([getattr(k, a) for k in tree.children(node.id)]) for a in ("p", "P", "delta", "B"))
+    z = 0.0 if u.family == "exp" else z
+    decay = math.exp(-node.r)
+    return _kernels.forced_layer(axes.xi, axes.zeta, axes.x, decay, lp, lP, ld, lB, ucode, ua, uxs, uys, z)
+
+
 @pytest.mark.parametrize("u", [exponential(1.0), capped_linear(0.5)])
 def test_one_step_at_the_last_decision_date_reads_the_forced_layer(u):
-    # one dispatch for grids and exact states: at a grid node, the one-step
-    # result is the layer's entry, bit for bit, and a flat close trades +0.0
+    # one dispatch for grids and exact states: at a grid state, the one-step
+    # result is the forced layer's entry, bit for bit (under exp scaled by
+    # exp(-alpha * z)), and a flat close trades +0.0
     tree = generate(preset("binomial"))
     config = SolveConfig(xi_count=5, zeta_count=4, x_count=5, action_count=5)
-    vf = backward_induce(tree, u, 0.25, config)
-    ax = vf.axes
+    ax = config.resolve_axes(tree, u)
     for node in tree.nodes_at(tree.T - 1):
-        layer = vf.layers[node.id]
-        for i, j, k in np.ndindex(layer.values.shape):
+        values, policy = forced_grid(tree, node, u, 0.25, ax)
+        for i, j, k in np.ndindex(values.shape):
             step = one_step_optimize(tree, node.id, MarketState(ax.xi[i], ax.zeta[j], ax.x[k]), None, u, 0.25)
-            assert step.value.hex() == float(layer.values[i, j, k]).hex()
-            assert step.h.hex() == float(layer.policy[i, j, k] + 0.0).hex()
+            want = values[i, j, k]
+            if u.family == "exp":
+                want = _kernels.cara_scale(want, ax.xi[i] + 0.25, u.alpha)
+            assert step.value.hex() == float(want).hex()
+            assert step.h.hex() == float(policy[i, j, k] + 0.0).hex()
             assert (step.k_expansions, step.k_warning) == (0, False)
             if u.family == "exp":
                 # the layer holds the values at xi = 0 only; other cash levels
                 # scale them
                 assert_cash_invariant(tree, node, u, 0.25, ax.zeta[j], ax.x[k], config)
-    assert math.copysign(1.0, layer.policy[0, 0, 2]) == -1.0  # x = 0 closes with -0.0 in the layer
+    assert math.copysign(1.0, policy[0, 0, 2]) == -1.0  # x = 0 closes with -0.0 in the layer
 
 
 CASH_LEVELS = (-300.0, -5.0, 5.0, 300.0)
@@ -192,11 +205,12 @@ def direct_kernel(tree, node, u, z, state, config):
 
 
 def assert_cash_invariant(tree, node, u, z, zeta, x, config):
-    """One-step calls at cash levels away from 0 keep the trade chosen at
-    xi = 0, and their values match the 3-D kernel run at that cash level."""
-    at_zero = one_step_optimize(tree, node.id, MarketState(0.0, zeta, x), None, u, z, config)
-    assert direct_kernel(tree, node, u, z, MarketState(0.0, zeta, x), config) == at_zero.value
-    for xi in CASH_LEVELS:
+    """One-step calls at cash levels away from 0, with endowment z, keep the
+    trade chosen at xi = z = 0, and their values match the 3-D kernel run at
+    that cash level and endowment."""
+    at_zero = one_step_optimize(tree, node.id, MarketState(0.0, zeta, x), None, u, 0.0, config)
+    assert direct_kernel(tree, node, u, 0.0, MarketState(0.0, zeta, x), config) == at_zero.value
+    for xi in (0.0,) + CASH_LEVELS:
         state = MarketState(xi, zeta, x)
         step = one_step_optimize(tree, node.id, state, None, u, z, config)
         assert step.h.hex() == at_zero.h.hex()
@@ -219,39 +233,32 @@ def test_exponential_one_step_is_cash_invariant():
 # -- backward induction ------------------------------------------------------
 
 
-def test_backward_induction_covers_every_node():
-    tree = generate(preset("binomial"))
+def test_backward_induction_stores_layers_at_dates_1_to_T_minus_2(monkeypatch):
+    # the sweeps of dates 0..T-3 read these grids and nothing else: the root
+    # value comes from an exact-state one-step call and dates T-1 and T are
+    # summed in closed form, so neither gets a grid
+    tree = generate(preset("binomial", T=4))
     u = exponential(1.0)
-    vf = backward_induce(tree, u, 0.0)
-    assert set(vf.layers) == set(tree.node_ids())
+    vf = backward_induce(tree, u, 0.3)
+    assert sorted(vf.layers) == [n for n in tree.node_ids() if 1 <= tree.node(n).t <= 2]
     assert vf.axes.xi.tolist() == [0.0]  # exponential layers are cash-free
     for nid, grid in vf.layers.items():
         assert grid.t == tree.node(nid).t
         assert grid.values.shape == (1, 21, 21)
-        assert np.isfinite(grid.values).all() or (grid.values >= -1e300).all()
-
-
-def test_terminal_layers_are_the_utility_of_final_wealth():
-    tree = generate(preset("binomial"))
-    u = exponential(1.0)
-    z = 0.3
-    vf = backward_induce(tree, u, z)
-    ax = vf.axes
-    for leaf in tree.leaves():
-        grid = vf.layers[leaf.id]
-        assert grid.values.shape == (1, 21, 21)
-        # exponential layers are not floored
-        expect = np.broadcast_to(u(z + ax.xi[:, None, None] - leaf.B), grid.values.shape)
-        assert np.array_equal(grid.values, expect)
-        assert np.all(grid.policy == 0.0)
+        assert not np.isnan(grid.values).any() and not np.isposinf(grid.values).any()
+    calls = count_kernel_calls(monkeypatch)
+    vf = backward_induce(generate(preset("det-example")), u, 0.0)
+    assert vf.layers == {} and calls == []
+    assert vf.diagnostics["distinct_grids"] == 0
 
 
 def test_forced_layers_close_the_position():
     tree = generate(preset("binomial"))
-    vf = backward_induce(tree, exponential(1.0), 0.0)
-    ax = vf.axes
+    u = exponential(1.0)
+    ax = SolveConfig().resolve_axes(tree, u)
     for node in tree.nodes_at(tree.T - 1):
-        assert np.array_equal(vf.layers[node.id].policy, np.broadcast_to(-ax.x, (1, 21, 21)) + 0.0)
+        _, policy = forced_grid(tree, node, u, 0.0, ax)
+        assert np.array_equal(policy, np.broadcast_to(-ax.x, (1, 21, 21)) + 0.0)
 
 
 def test_value_layers_are_monotone_in_cash_on_presets():
@@ -263,13 +270,21 @@ def test_value_layers_are_monotone_in_cash_on_presets():
 
 
 def test_numeric_error_on_nan_inputs():
-    nodes = [
-        TreeNode(id=0, parent=None, t=0, p=1.0, P=0.0, r=0.0),
-        TreeNode(id=1, parent=0, t=1, p=1.0, P=0.0, delta=1.0, B=math.nan),
-    ]
-    tree = ScenarioTree(T=1, zeta0=0.0, nodes=nodes)
+    # every layer and every exact-state one-step result passes the same check:
+    # at T = 2 no layer exists, and the root's one-step call raises
+    tree = two_leaf_tree()
+    nodes = [replace(tree.node(n), B=math.nan) if n == 3 else tree.node(n) for n in tree.node_ids()]
+    nan_leaf = ScenarioTree(T=2, zeta0=tree.zeta0, nodes=nodes)
+    for u in (exponential(1.0), capped_linear(1.0)):
+        vf = backward_induce(nan_leaf, u, 0.0)
+        assert vf.layers == {}
+        with pytest.raises(SolverNumericError, match="non-finite values at node 0"):
+            forward_extract(nan_leaf, vf, u, 0.0)
+    deep = generate(preset("binomial"))  # T = 3: the date-1 layers see the NaN
+    leaf = deep.leaves()[0].id
+    nodes = [replace(deep.node(n), B=math.nan) if n == leaf else deep.node(n) for n in deep.node_ids()]
     with pytest.raises(SolverNumericError, match="non-finite"):
-        backward_induce(tree, exponential(1.0), 0.0)
+        backward_induce(ScenarioTree(T=3, zeta0=deep.zeta0, nodes=nodes), exponential(1.0), 0.0)
 
 
 # -- shared subtrees ---------------------------------------------------------
@@ -277,9 +292,9 @@ def test_numeric_error_on_nan_inputs():
 SMALL_CONFIG = SolveConfig(xi_count=3, zeta_count=3, x_count=3, action_count=5)
 
 
-def count_sweeps(monkeypatch):
+def count_kernel_calls(monkeypatch):
     calls = []
-    for name in ("sweep_exact", "sweep_grid"):
+    for name in ("forced_layer", "sweep_exact", "sweep_grid"):
         original = getattr(_kernels, name)
 
         def counted(*args, _original=original):
@@ -291,14 +306,14 @@ def count_sweeps(monkeypatch):
 
 
 def test_recombining_lattice_sweeps_each_distinct_subtree_once(monkeypatch):
-    calls = count_sweeps(monkeypatch)
+    calls = count_kernel_calls(monkeypatch)
     tree = generate(preset("binomial", T=8))
     vf = backward_induce(tree, exponential(1.0), 0.0, SMALL_CONFIG)
-    sweep_nodes = [n for n in tree.node_ids() if tree.node(n).t <= tree.T - 2]
-    assert len(sweep_nodes) == 127
-    assert len(calls) == 28
-    assert vf.diagnostics["distinct_grids"] == 28
-    assert sorted(vf.layers) == tree.node_ids()
+    grid_nodes = [n for n in tree.node_ids() if 1 <= tree.node(n).t <= tree.T - 2]
+    assert len(grid_nodes) == 126
+    assert len(calls) == 27  # 2 + 3 + ... + 7 distinct subtrees at dates 1..6
+    assert vf.diagnostics["distinct_grids"] == 27
+    assert sorted(vf.layers) == grid_nodes
 
 
 def test_non_recombining_tree_sweeps_every_node(monkeypatch):
@@ -306,9 +321,9 @@ def test_non_recombining_tree_sweeps_every_node(monkeypatch):
     lattice = generate(preset("binomial", T=4))
     nodes = [replace(lattice.node(n), P=float(rng.uniform(0.0, 2.0))) for n in lattice.node_ids()]
     tree = ScenarioTree(T=4, zeta0=lattice.zeta0, nodes=nodes)
-    calls = count_sweeps(monkeypatch)
+    calls = count_kernel_calls(monkeypatch)
     vf = backward_induce(tree, capped_linear(1.0), 0.0, SMALL_CONFIG)
-    assert len(calls) == 7 == vf.diagnostics["distinct_grids"]
+    assert len(calls) == 6 == vf.diagnostics["distinct_grids"]
 
 
 def test_nodes_with_the_same_subtree_share_read_only_grids():
@@ -331,7 +346,8 @@ def test_nodes_with_the_same_subtree_share_read_only_grids():
 
 FROZEN_CONFIG = SolveConfig(xi_count=9, zeta_count=5, x_count=5, action_count=21)
 FROZEN_ACTIONS = (-0.2, -0.1, 0.0, 0.1, 0.2)
-# SHA-256 over every layer's values then policy bytes in node-id order, and the
+# SHA-256 over every stored layer's values then policy bytes in node-id order
+# (dates 1..T-2; none at T = 2, so det-example hashes no bytes), and the
 # float.hex of the root value, the replayed strategy value and the exact-state
 # DP value on FROZEN_ACTIONS.  A refactor of the kernels, the transition or the
 # utility evaluator must leave all of them unchanged.  The exp entries hash
@@ -339,23 +355,23 @@ FROZEN_ACTIONS = (-0.2, -0.1, 0.0, 0.1, 0.2)
 # x86-64; a NumPy build whose exp rounds differently needs new values.
 FROZEN = {
     "det-example-exp": (
-        "eaa3cee1480751a200a0a59ca71ba5ec067c8cbf3776d113da484950bb410f34",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "-0x1.d8a2b4ac44685p-1", "-0x1.d8a2b4ac44685p-1", "-0x1.d8a2b4ac44685p-1",
     ),
     "binomial-exp": (
-        "86af963d0fc2aaa752ffdc25663a96c519a8e4518d0edd0c365d201fe35ff778",
+        "279ca67e445b5d5808099475581cc45f078b660f117cb776dfc8e983abf2c57e",
         "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
     ),
     "notconvex-exp": (
-        "c8c8f9afd10bfcb363f7cd17905b378fa47a7a87fbacf0bc63005b02ad02f573",
+        "a2fd02e5b117ad631c6380ec80655ff972997bf079daecce35881d8728e9517f",
         "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
     ),
     "binomial-T4-cap": (
-        "0a53ae3e7e3b2a6a38d299f8ce4b55cf95ebcfb87c6766d0046bdb1f17ae5e93",
+        "fc6f4c6842252793c5060e87b145cb166f0afc625b49726ff1d223b963adaf6b",
         "-0x1.1942850a14289p+5", "0x0.0p+0", "0x1.65af0d59f932cp-6",
     ),
     "trinomial-pwl": (
-        "a080d0b8d4451b0357ca32126e6d07ef487622a668a6f89a1a593f3726c527d0",
+        "70840f40869174caf75b8bec4df189acea4e25240bc991bdd09b17861d5da188",
         "-0x1.77f2b5d9bd4c9p+2", "-0x1.874f3651fef43p-4", "0x0.0p+0",
     ),
 }
@@ -453,12 +469,14 @@ def test_recursions_leave_no_filled_tables_to_the_cycle_collector():
     tree = generate(preset("binomial"))
     u = exponential(1.0)
     grid = ActionGrid((-1.0, 0.0, 1.0))
+    vf = backward_induce(tree, u, 0.0, SMALL_CONFIG)
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         exact_state_dp(tree, u, 0.0, list(grid))
         history_dp(tree, u, 0.0, grid)
+        forward_extract(tree, vf, u, 0.0, SMALL_CONFIG)
         gc.collect()
         filled = [o for o in gc.garbage if isinstance(o, dict) and o]
         garbage = len(gc.garbage)
@@ -509,6 +527,22 @@ def test_solve_deterministic_example_end_to_end():
     assert d["value_gap_ok"] is True and d["value_gap"] <= 1e-9
     payload = report.to_dict()
     assert set(payload) == {"root_value", "strategy", "strategy_value", "diagnostics"}
+
+
+def test_exponential_trades_do_not_depend_on_the_endowment():
+    # exp(-alpha * z) factors out of every exponential value as exp(-alpha * xi)
+    # does, so the kernels run at z = 0 and |z| large enough to overflow or
+    # underflow u(z + w) leaves the trade as it is
+    tree = generate(preset("det-example"))
+    u = exponential(1.0)
+    base = solve(tree, u, 0.0)
+    assert base.strategy.trade_at(0) == 0.17
+    for z in (700.0, 760.0, -760.0):
+        report = solve(tree, u, z)
+        assert report.strategy.values == base.strategy.values
+        assert report.strategy.trade_at(0).hex() == base.strategy.trade_at(0).hex()
+    high = solve(tree, u, 760.0)
+    assert high.root_value == 0.0 and high.diagnostics["value_gap_ok"] is True
 
 
 @pytest.mark.parametrize("name, T", [("binomial", 3), ("binomial", 4), ("binomial", 5), ("notconvex", 3)])

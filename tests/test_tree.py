@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from impactdp.tree import (
     PredictableAssignment,
     ScenarioTree,
     TreeNode,
-    conditional_expectation,
     generate,
     monotone_depth_check,
     preset,
@@ -122,6 +122,17 @@ def test_validate_reports_date_gaps_and_leaf_children():
     assert any("parent date" in v for v in rep.violations)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_reports_non_finite_inputs(bad):
+    tree = two_leaf_tree()
+    for node_id, name in ((0, "P"), (1, "r"), (2, "B")):
+        nodes = [replace(tree.node(i), **{name: bad}) if i == node_id else tree.node(i) for i in tree.node_ids()]
+        rep = ScenarioTree(T=2, zeta0=0.25, nodes=nodes).validate()
+        assert any(f"node {node_id} {name}=" in v and "not finite" in v for v in rep.violations)
+    rep = ScenarioTree(T=2, zeta0=bad, nodes=[tree.node(i) for i in tree.node_ids()]).validate()
+    assert any("zeta0 must be finite" in v for v in rep.violations)
+
+
 # -- paths -------------------------------------------------------------------
 
 
@@ -148,14 +159,6 @@ def test_path_probabilities_sum_to_one_on_presets():
         tree = generate(preset(name))
         total = math.fsum(tree.extract_path(leaf.id).probability for leaf in tree.leaves())
         assert total == pytest.approx(1.0, abs=1e-9)
-
-
-def test_conditional_expectation_identity_and_tower():
-    tree = two_leaf_tree()
-    leaf_values = {2: 10.0, 3: -5.0}
-    assert conditional_expectation(tree, 2, leaf_values) == 10.0
-    assert conditional_expectation(tree, 1, leaf_values) == pytest.approx(0.6 * 10.0 + 0.4 * -5.0)
-    assert conditional_expectation(tree, 0, leaf_values) == pytest.approx(4.0)
 
 
 # -- serialization -----------------------------------------------------------
