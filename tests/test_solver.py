@@ -233,8 +233,10 @@ def test_exponential_one_step_is_cash_invariant():
 # -- backward induction ------------------------------------------------------
 
 
-def test_backward_induction_stores_layers_at_dates_1_to_T_minus_2(monkeypatch):
-    # the sweeps of dates 0..T-3 read these grids and nothing else: the root
+def test_backward_induction_covers_every_node(monkeypatch):
+    # every node whose grid a sweep reads, dates 1..T-2, has a layer, and no
+    # other node has one: the sweeps of dates 0..T-3 read these grids and
+    # nothing else: the root
     # value comes from an exact-state one-step call and dates T-1 and T are
     # summed in closed form, so neither gets a grid
     tree = generate(preset("binomial", T=4))
@@ -250,6 +252,25 @@ def test_backward_induction_stores_layers_at_dates_1_to_T_minus_2(monkeypatch):
     vf = backward_induce(generate(preset("det-example")), u, 0.0)
     assert vf.layers == {} and calls == []
     assert vf.diagnostics["distinct_grids"] == 0
+
+
+def test_terminal_layers_are_the_utility_of_final_wealth():
+    # terminal utility enters through the closed-form leaf sum of the last
+    # decision date: with a flat position nothing is traded, so the forced
+    # layer holds sum_leaves p * u(z + xi - B) exactly (under exp at z = 0,
+    # where the solver runs it, and not floored)
+    tree = generate(preset("binomial"))
+    for u in (exponential(1.0), capped_linear(0.5)):
+        ax = SolveConfig().resolve_axes(tree, u)
+        z = 0.0 if u.family == "exp" else 0.3
+        flat = int(np.flatnonzero(ax.x == 0.0)[0])
+        for node in tree.nodes_at(tree.T - 1):
+            values, policy = forced_grid(tree, node, u, z, ax)
+            expect = np.zeros((len(ax.xi), len(ax.zeta)))
+            for leaf in tree.children(node.id):
+                expect += leaf.p * u(z + ax.xi[:, None] - leaf.B) * np.ones(len(ax.zeta))
+            assert np.array_equal(values[:, :, flat], expect)
+            assert np.all(policy[:, :, flat] == 0.0)
 
 
 def test_forced_layers_close_the_position():
