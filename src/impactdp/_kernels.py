@@ -12,13 +12,15 @@ decision date, and before that a read of the child's value grid, by clamped
 multilinear interpolation ``_interp3`` under cap and pwl utility and by the
 CARA hook ``_cara_interp`` under exponential utility.  All states of a node are
 swept at once as broadcast views of the three axes, xi on axis 0, zeta on
-axis 1 and x on axis 2, and a candidate trade is one scalar for the whole
-grid.  So each intermediate is computed on the axes it depends on: zeta' on
-the zeta axis, x' on the x axis and xi' on the xi-by-zeta slab.  The interpolation follows the same split in
-two stages: it blends the child grid's rows over xi' and zeta' once per
-xi-by-zeta query, for every grid column, and then picks and blends the two
+axis 1 and x on axis 2, and the candidate trades of one call lie on a leading
+axis of their own: one trade for all states in the bound search, a block of
+trades in the action scan.  So each intermediate is computed on the axes it
+depends on: zeta' on the trade-by-zeta slab, x' on the trade-by-x slab and
+xi' on the trade-by-xi-by-zeta block.  The interpolation follows the same
+split in two stages: it blends the child grid's rows over xi' and zeta' once
+per xi-by-zeta query, for every grid column, and then picks and blends the two
 columns around each x'.  Only the second stage and the utility run over every
-state.
+state and trade.
 
 Under u(w) = -exp(-a*w) cash enters wealth additively, so a value function
 factors exactly as V(xi, zeta, x) = exp(-a*xi) * V(0, zeta, x).  Exponential
@@ -49,6 +51,14 @@ neighbouring states truncate at different bounds.  The scan visits the
 actions in increasing (|h|, sign) order, 0, -d, +d, -2d, +2d, ..., and takes a
 candidate only when it is strictly better, so the first maximum met wins: ties
 go to the smallest trade, then to the sale, and a NaN candidate never wins.
+It evaluates the actions in that order in blocks of about ``_BLOCK`` elements,
+max(1, _BLOCK // states) trades per candidate call, and then updates the best
+values one trade of the block after another.  Every candidate value is the one
+a call with that trade alone gives, and the updates run in the same order, so
+the block size changes the work per NumPy call but not a bit of the result:
+an exact-state (one-point) sweep scans all its actions in one call, a
+cash-free 1x21x21 layer 37 at a time, and a grid of more than 8192 states,
+such as a 41x21x21 cap or pwl layer, one at a time.
 """
 
 from __future__ import annotations
@@ -73,6 +83,10 @@ BACKEND = "numpy"
 # cap and pwl utilities are floored here so interpolation never forms 0 * inf
 U_FLOOR = -1e300
 
+
+# elements of one candidate call in the action scan: a block of trades times
+# the swept states
+_BLOCK = 1 << 14
 
 # the most negative value that blends of two such values cannot overflow
 _BLEND_MIN = -np.finfo(np.float64).max / 4.0
@@ -168,15 +182,19 @@ def _lerp(lo, hi, f, g):
 
 
 def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
-    """Shared state-vectorized optimizer; ``cand`` maps a scalar trade to values.
+    """Shared state-vectorized optimizer; ``cand`` maps trades to values.
 
-    ``cand(XI, ZE, XX, h)`` gets the axes as broadcast views and returns the
-    candidate values of every state as a new (nx, nz, nxx) array.  Per-state
-    bound search with the dominance, plateau, and max-expansion exits in that
-    order, then one scan of all states over the action set built from the
-    layer-wide maximum bound.  A state still searching in round n probes
-    +-k0 * kfac**n, the same bound for every such state, so each probe is one
-    scalar trade; the values of states that already stopped are not read.
+    ``cand(XI, ZE, XX, H)`` gets the axes as broadcast views and returns the
+    candidate values of every state as a new array: of shape (nx, nz, nxx)
+    for a scalar trade H, and of shape (n, nx, nz, nxx) for a block of n
+    trades given as H of shape (n, 1, 1, 1).  Per-state bound search with the
+    dominance, plateau, and max-expansion exits in that order, then one scan
+    of all states over the action set built from the layer-wide maximum
+    bound.  A state still searching in round n probes +-k0 * kfac**n, the
+    same bound for every such state, so each probe is one scalar trade; the
+    values of states that already stopped are not read.  The scan takes the
+    actions in blocks of max(1, _BLOCK // states) in scan order, one
+    candidate call per block, and keeps the strict-> update per trade.
     """
     XI = xg[:, None, None]
     ZE = zg[None, :, None]
@@ -215,9 +233,11 @@ def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
         best_v = v0
         best_i = np.full(shape, m)
         # 0, -d, +d, -2d, +2d, ...: a strict > keeps the first maximum met
-        for j in range(1, m + 1):
-            for iact in (m - j, m + j):
-                v = cand(XI, ZE, XX, hs[iact])
+        order = (m + np.arange(1, m + 1)[:, None] * np.array([-1, 1])).ravel()
+        size = max(1, _BLOCK // v0.size)
+        for start in range(0, order.size, size):
+            block = order[start : start + size]
+            for v, iact in zip(cand(XI, ZE, XX, hs[block].reshape(-1, 1, 1, 1)), block):
                 better = v > best_v
                 np.copyto(best_v, v, where=better)
                 best_i[better] = iact
@@ -227,12 +247,13 @@ def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
 def _over_children(decay, cp, cP, cdelta, cont):
     """``_sweep``'s candidate: sum_c p_c * cont(c, XI1, ZE1, X1) after each
     child's transition, with ``cont`` child c's value at its post-trade state.
+    The trade H is a scalar or a block of trades on a leading axis.
     """
 
     def cand(XI, ZE, XX, H):
         AH = abs(H)
         X1 = XX + H
-        tot = np.zeros(np.broadcast(XI, ZE, XX).shape)
+        tot = np.zeros(np.broadcast(XI, ZE, XX, H).shape)
         for c in range(cp.shape[0]):
             XI1, ZE1 = transition(XI, ZE, H, AH, decay, cP[c], cdelta[c])
             tot += cp[c] * cont(c, XI1, ZE1, X1)

@@ -4,9 +4,10 @@ Subcommands: solve, oracle, evaluate, demo, check, gen-tree.  Reports are
 JSON with sorted keys (CSV for curves via --format csv) and contain no
 timestamps, so identical inputs give byte-identical outputs.  Exit codes:
 0 success, 1 failed check or internal disagreement (for ``solve``: a root
-value the replayed strategy does not certify, ``value_gap_ok`` false, reported
-in full all the same), 2 invalid input, 3 numeric failure, 4 enumeration
-capacity exceeded.
+value the replayed strategy does not certify, ``value_gap_ok`` false, or a
+value layer that decreases along the cash axis, ``monotonicity_violations``
+above 0, reported in full all the same), 2 invalid input, 3 numeric failure,
+4 enumeration capacity exceeded.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ def _cmd_solve(args) -> int:
     }
     payload.update(report.to_dict())
     _emit_json(payload, args.out)
-    return 0 if report.diagnostics["value_gap_ok"] else 1
+    diag = report.diagnostics
+    return 0 if diag["value_gap_ok"] and diag["monotonicity_violations"] == 0 else 1
 
 
 def _cmd_oracle(args) -> int:

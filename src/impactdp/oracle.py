@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import closing_trade
-from .solver import _child_sum, _node_value, _replay, _tie_key
+from .solver import _cara_shift, _child_sum, _node_value, _replay, _run_z, _tie_key
 from .tree import PredictableAssignment, ScenarioTree
 from .utility import UtilitySpec
 
@@ -111,8 +111,11 @@ def brute_force_solve(
 
     Ties in value break toward the assignment whose (|h|, sign) key sequence
     over free-choice nodes in id order is lexicographically smallest, i.e.
-    small trades first, then selling before buying.
+    small trades first, then selling before buying.  Under exponential
+    utility the candidates are scored at z = 0 and the best value is scaled
+    by exp(-alpha * z), as in the grid solver.
     """
+    z_run = _run_z(u, z)
     best_v = -math.inf
     best: PredictableAssignment | None = None
     best_key: tuple | None = None
@@ -121,13 +124,13 @@ def brute_force_solve(
     with np.errstate(over="ignore"):
         for assignment in enumerate_strategies(tree, grid, cap):
             n += 1
-            v = _replay(tree, assignment, u, z)
+            v = _replay(tree, assignment, u, z_run)
             key = tuple(_tie_key(assignment.values[i]) for i in ids)
             if best is None or v > best_v or (v == best_v and key < best_key):
                 best_v = v
                 best = assignment
                 best_key = key
-    return OracleResult(value=best_v, strategy=best, candidates=n)
+    return OracleResult(value=_cara_shift(u, best_v, z), strategy=best, candidates=n)
 
 
 def history_dp(
@@ -139,8 +142,10 @@ def history_dp(
     grid given the exact trades made so far, with the same (|h|, sign)
     tie-break as enumeration.  Expected value is monotone in every subtree
     value and all arithmetic is shared with enumeration, so the returned value
-    matches ``brute_force_solve`` bit for bit.
+    matches ``brute_force_solve`` bit for bit, also under exponential utility,
+    where both run at z = 0 and scale the value the same way.
     """
+    z_run = _run_z(u, z)
     choice: dict[tuple, float] = {}
     evaluations = 0
 
@@ -151,7 +156,7 @@ def history_dp(
         best_key = (math.inf, 2)
         for h in grid.values:
             evaluations += 1
-            v = _child_sum(tree, node, rsums, deltas, hs, wealth, h, u, z, decide)
+            v = _child_sum(tree, node, rsums, deltas, hs, wealth, h, u, z_run, decide)
             key = _tie_key(h)
             if v > best_v or (v == best_v and key < best_key):
                 best_v = v
@@ -161,7 +166,7 @@ def history_dp(
         return best_v
 
     with np.errstate(over="ignore"):
-        value = _node_value(tree, tree.root, (0.0,), (), (), 0.0, u, z, decide)
+        value = _node_value(tree, tree.root, (0.0,), (), (), 0.0, u, z_run, decide)
 
     # a child's decide runs once per parent candidate, so choices are keyed by
     # history; replay the argmax path to read off the strategy
@@ -179,4 +184,4 @@ def history_dp(
     # decide and extract reach themselves through their closure cells; emptying
     # the cells breaks those cycles, so the tables go with this frame
     del decide, extract
-    return OracleResult(value=value, strategy=PredictableAssignment(chosen), candidates=evaluations)
+    return OracleResult(value=_cara_shift(u, value, z), strategy=PredictableAssignment(chosen), candidates=evaluations)

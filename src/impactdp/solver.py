@@ -25,7 +25,8 @@ exp(-alpha*xi') * W(zeta', x'), exact along xi with no cash clamp and no
 utility floor (``_kernels`` has the details).  ``one_step_optimize`` runs the
 node at xi = z = 0 and scales the value to the state's cash plus z.  Cap and
 pwl layers keep the cash axis and z.  ``exact_state_dp`` and the oracles use
-no grid at all.
+no grid at all; under exponential utility they run at z = 0 as well and scale
+their value by exp(-alpha*z), and ``solve`` takes its value gap at z = 0.
 
 A node's grid depends only on its own resilience and endowment and on its
 children's (p, P, delta) and subtrees.  ``backward_induce`` gives every node
@@ -289,8 +290,7 @@ def _sweep_node(tree, node, xg, zg, xxg, layers, axes, u, z, config):
     value is NaN or +inf.
     """
     ucode, ua, uxs, uys = u.kernel_encoding()
-    if ucode == 0:
-        z = 0.0
+    z = _run_z(u, z)
     decay = math.exp(-node.r)
     kids = tree.children(node.id)
     if node.t == tree.T - 1:
@@ -324,6 +324,23 @@ def _fields(nodes: Sequence[TreeNode], *names: str) -> tuple[np.ndarray, ...]:
     return tuple(np.array([getattr(n, name) for n in nodes], dtype=np.float64) for name in names)
 
 
+def _run_z(u: UtilitySpec, z: float) -> float:
+    """The endowment a value is computed at: 0 under exponential utility,
+    whose values at z are exp(-alpha * z) times those at 0 (``_cara_shift``
+    applies the factor), and ``z`` itself otherwise."""
+    return 0.0 if u.family == "exp" else z
+
+
+def _cara_shift(u: UtilitySpec, value: float, shift: float) -> float:
+    """An exponential value computed at cash and endowment 0, moved to cash
+    plus endowment ``shift``: exp(-alpha * shift) * value, the same bits when
+    ``shift`` is 0.  Values of other families are returned as they are."""
+    if u.family != "exp" or shift == 0.0:
+        return value
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        return float(_kernels.cara_scale(value, shift, u.alpha))
+
+
 def one_step_optimize(
     tree: ScenarioTree,
     node_id: int,
@@ -338,11 +355,13 @@ def one_step_optimize(
     Runs the node's kernel on a single-point state grid, through the same
     dispatch as the grid pass, so the semantics (action set, K expansion,
     tie-break toward small then negative trades) are exactly those of the
-    grid pass.  At the last decision date the trade is forced to close the
-    position and no search happens.  Under exponential utility the optimal
-    trade depends on neither cash nor the endowment z: the node runs at
-    xi = z = 0, as in the grid pass, and the value is scaled by
-    exp(-alpha * (xi + z)).
+    grid pass.  With one state, the kernel's action scan puts every action
+    of the set on its leading axis and evaluates them in one candidate call;
+    only the K search still probes one trade pair per round.  At the last
+    decision date the trade is forced to close the position and no search
+    happens.  Under exponential utility the optimal trade depends on neither
+    cash nor the endowment z: the node runs at xi = z = 0, as in the grid
+    pass, and the value is scaled by exp(-alpha * (xi + z)).
     """
     config = config or SolveConfig()
     node = tree.node(node_id)
@@ -351,17 +370,12 @@ def one_step_optimize(
     if node.t < tree.T - 2 and value_functions is None:
         raise ValueError("value grids are required when children carry grids")
     layers, axes = (None, None) if value_functions is None else (value_functions.layers, value_functions.axes)
-    cash_free = u.family == "exp"
-    xi = 0.0 if cash_free else state.xi
+    xi = 0.0 if u.family == "exp" else state.xi
     xg, zg, xxg = (np.array([v], dtype=np.float64) for v in (xi, state.zeta, state.x))
     vals, pol, nexp, warn = _sweep_node(tree, node, xg, zg, xxg, layers, axes, u, float(z), config)
-    value = vals[0, 0, 0]
-    shift = state.xi + float(z)
-    if cash_free and shift != 0.0:
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            value = _kernels.cara_scale(value, shift, u.alpha)
+    value = _cara_shift(u, float(vals[0, 0, 0]), state.xi + float(z))
     # + 0.0: closing a flat position trades 0.0, not -0.0
-    return OneStep(float(pol[0, 0, 0]) + 0.0, float(value), nexp, bool(warn))
+    return OneStep(float(pol[0, 0, 0]) + 0.0, value, nexp, bool(warn))
 
 
 def forward_extract(
@@ -525,16 +539,20 @@ def exact_state_dp(
     tie-break as the grid solver.  Certifies that the reduced state carries
     everything the history does: its value must match the history-indexed
     oracle to float accuracy on any instance small enough to enumerate.
+    Under exponential utility it runs at z = 0, as the grid solver does, and
+    scales the value by exp(-alpha * z), so a large |z| cannot make every
+    candidate overflow or underflow to the same value.
     """
     acts = [float(a) for a in actions]
     if not acts:
         raise ValueError("need a nonempty action set")
+    z_run = _run_z(u, z)
     best_h: dict[tuple, float] = {}
     memo: dict[tuple, float] = {}
 
     def value(node: TreeNode, xi: float, zeta: float, x: float) -> float:
         if node.t == tree.T:
-            return float(u(z + xi - node.B))
+            return float(u(z_run + xi - node.B))
         key = (node.id, xi, zeta, x)
         if key in memo:
             return memo[key]
@@ -568,7 +586,7 @@ def exact_state_dp(
     # value and _expect reach each other through their closure cells; emptying
     # the cells breaks that cycle, so the tables go with this frame
     del value, _expect
-    return root_value, strategy
+    return _cara_shift(u, root_value, z), strategy
 
 
 # -- top level --------------------------------------------------------------
@@ -593,22 +611,29 @@ class SolveReport:
 def solve(
     tree: ScenarioTree, u: UtilitySpec, z: float, config: SolveConfig | None = None
 ) -> SolveReport:
-    """Full pipeline: validate, induce grids, extract and evaluate a strategy."""
+    """Full pipeline: validate, induce grids, extract and evaluate a strategy.
+
+    The reported values are those at the endowment z.  Under exponential
+    utility the value gap compares the root and the replay at z = 0, before
+    both scale by exp(-alpha * z), so an endowment that overflows or
+    underflows the scaled values leaves the certificate as it is.
+    """
     config = config or SolveConfig()
     report = tree.validate()
     if not report.ok:
         raise ValueError("invalid tree: " + "; ".join(report.violations))
+    z_run = _run_z(u, z)
     vf = backward_induce(tree, u, z, config)
-    assignment, root_step, extract_diag = forward_extract(tree, vf, u, z, config)
-    strategy_value = evaluate_strategy(tree, assignment, u, z)
+    assignment, root_step, extract_diag = forward_extract(tree, vf, u, z_run, config)
+    replay = evaluate_strategy(tree, assignment, u, z_run)
     diagnostics = dict(vf.diagnostics)
     diagnostics["k_expansions"] = max(diagnostics["k_expansions"], extract_diag["k_expansions"])
     diagnostics["k_warnings"] += extract_diag["k_warnings"]
-    diagnostics["value_gap"] = abs(root_step.value - strategy_value) / (1.0 + abs(root_step.value))
+    diagnostics["value_gap"] = abs(root_step.value - replay) / (1.0 + abs(root_step.value))
     diagnostics["value_gap_ok"] = diagnostics["value_gap"] <= config.value_tol
     return SolveReport(
-        root_value=root_step.value,
+        root_value=_cara_shift(u, root_step.value, z),
         strategy=assignment,
-        strategy_value=strategy_value,
+        strategy_value=replay if z_run == z else evaluate_strategy(tree, assignment, u, z),
         diagnostics=diagnostics,
     )

@@ -62,6 +62,26 @@ def test_uncertified_solve_exits_1_with_the_full_report(tmp_path, capsys):
     assert len(payload["strategy"]) == 15  # a trade for every non-leaf node
 
 
+def test_solve_exits_1_on_a_monotonicity_violation(monkeypatch, capsys):
+    # no shipped instance decreases along the cash axis, so the count is
+    # planted in an otherwise certified report
+    import impactdp.cli as cli
+
+    real = cli.solve
+
+    def violating(*args):
+        report = real(*args)
+        report.diagnostics["monotonicity_violations"] = 3
+        return report
+
+    monkeypatch.setattr(cli, "solve", violating)
+    code, payload, err = run_json(capsys, "solve", "--gen", "det-example")
+    assert code == 1 and err == ""
+    assert payload["diagnostics"]["value_gap_ok"] is True
+    assert payload["diagnostics"]["monotonicity_violations"] == 3
+    assert {"node": 0, "h": 0.17} in payload["strategy"]
+
+
 def test_solve_rejects_even_action_count(capsys):
     code, out, err = run(capsys, "solve", "--gen", "det-example", "--actions", "10")
     assert code == 2 and out == ""

@@ -376,19 +376,26 @@ def tied_cand(XI, ZE, XX, H):
     return np.broadcast_to(v, np.broadcast_shapes(XI.shape, ZE.shape, XX.shape, np.shape(H))).copy()
 
 
-def test_ordered_scan_matches_per_action_scan_bitwise():
+def test_ordered_scan_matches_per_action_scan_bitwise(monkeypatch):
+    # on the grid and on one-point states (the first at the NaN corner), with
+    # 1 to 200 trades per candidate call
     xg, zg, xxg = small_axes()
+    points = [tuple(np.array([v]) for v in s) for s in ((4.0, 2.0, 2.0), (3.0, 1.0, 1.0), (2.0, 0.5, -1.0))]
     for k0, kfac, kmax, n_act in ((1.0, 2.0, 6, 21), (0.5, 1.5, 3, 41), (1.0, 2.0, 0, 7), (2.0, 3.0, 4, 201)):
-        got = K._sweep(tied_cand, xg, zg, xxg, k0, kfac, kmax, n_act)
-        want = sweep_per_action(tied_cand, xg, zg, xxg, k0, kfac, kmax, n_act)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape == (xg.size, zg.size, xxg.size)
-            assert g.dtype == w.dtype
-            assert g.tobytes() == w.tobytes()
-        values, policy, nexp, warn = want
+        values, policy, nexp, warn = sweep_per_action(tied_cand, xg, zg, xxg, k0, kfac, kmax, n_act)
         assert np.isnan(values).sum() == 1
         assert (policy != 0.0).mean() > 0.25
         assert warn.any()
+        for axes in [(xg, zg, xxg)] + points:
+            want = sweep_per_action(tied_cand, *axes, k0, kfac, kmax, n_act)
+            states = axes[0].size * axes[1].size * axes[2].size
+            for size in (1, 2, 3, 7, 64, 200):
+                monkeypatch.setattr(K, "_BLOCK", size * states)
+                got = K._sweep(tied_cand, *axes, k0, kfac, kmax, n_act)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape == (axes[0].size, axes[1].size, axes[2].size)
+                    assert g.dtype == w.dtype
+                    assert g.tobytes() == w.tobytes()
 
 
 def test_ordered_scan_breaks_ties_to_the_smallest_sale():
@@ -396,7 +403,7 @@ def test_ordered_scan_breaks_ties_to_the_smallest_sale():
     table = {0.0: 0.0, 0.25: 1.0, 0.5: 1.0, 0.75: -1.0, 1.0: 0.0}
 
     def cand(XI, ZE, XX, H):
-        shape = np.broadcast_shapes(XI.shape, ZE.shape, XX.shape)
+        shape = np.broadcast_shapes(XI.shape, ZE.shape, XX.shape, np.shape(H))
         return np.vectorize(lambda h: table[abs(h)])(np.broadcast_to(H, shape)).astype(np.float64)
 
     one = np.array([0.0])
@@ -405,6 +412,52 @@ def test_ordered_scan_breaks_ties_to_the_smallest_sale():
         assert values[0, 0, 0] == 1.0
         assert policy[0, 0, 0] == -0.25
         assert nexp[0, 0, 0] == 0 and warn[0, 0, 0] == 0
+
+
+def block_scan_cand(XI, ZE, XX, H):
+    """In scan order -d, +d, -2d, +2d, -3d, +3d, -4d, +4d (d = 0.25): values
+    1, 1, NaN, 2, 2, 2, NaN, NaN plus a shift per state, 0 at h = 0.  So the
+    first maximum sits at +2d, the fourth scanned trade, ties with the next
+    two, and NaN comes before and after it."""
+    table = {0.0: 0.0, -0.25: 1.0, 0.25: 1.0, -0.5: np.nan, 0.5: 2.0, -0.75: 2.0, 0.75: 2.0, -1.0: np.nan, 1.0: np.nan}
+    shape = np.broadcast_shapes(XI.shape, ZE.shape, XX.shape, np.shape(H))
+    v = np.vectorize(table.__getitem__)(np.broadcast_to(H, shape)).astype(np.float64)
+    return v + (XI + ZE - XX)
+
+
+def test_block_scan_keeps_ties_and_nans_at_every_block_size(monkeypatch):
+    # trades per block 1..8: the maximum at +2d and its ties fall inside a
+    # block for some sizes and across a block boundary for others, and so do
+    # the NaN candidates; every size must give the per-action scan's bytes
+    xg, zg, xxg = small_axes()
+    point = (np.array([1.0]), np.array([0.5]), np.array([-2.0]))
+    for axes in ((xg, zg, xxg), point):
+        states = axes[0].size * axes[1].size * axes[2].size
+        want = sweep_per_action(block_scan_cand, *axes, 1.0, 2.0, 0, 9)
+        assert np.all(want[1] == 0.5)
+        for size in range(1, 9):
+            monkeypatch.setattr(K, "_BLOCK", size * states)
+            got = K._sweep(block_scan_cand, *axes, 1.0, 2.0, 0, 9)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+
+def test_one_point_sweep_scans_every_action_in_one_call():
+    # one call at h = 0, two per bound-search round (nexp + 1 rounds), and one
+    # for the whole action scan
+    calls = []
+
+    def counted(XI, ZE, XX, H):
+        calls.append(np.shape(H))
+        return tied_cand(XI, ZE, XX, H)
+
+    for state in ((3.0, 1.0, 1.0), (2.0, 0.5, -1.0), (4.0, 2.0, 2.0)):
+        for kmax, n_act in ((6, 21), (4, 201), (0, 7)):
+            calls.clear()
+            _, _, nexp, _ = K._sweep(counted, *(np.array([v]) for v in state), 1.0, 2.0, kmax, n_act)
+            rounds = int(nexp[0, 0, 0]) + 1
+            assert len(calls) <= 2 * rounds + 2
+            assert calls[-1] == (n_act - 1, 1, 1, 1)
 
 
 def test_bound_search_expands_when_the_optimum_is_far():

@@ -14,6 +14,7 @@ from impactdp.solver import (
     MarketState,
     SolveConfig,
     SolverNumericError,
+    _exact_walk,
     backward_induce,
     evaluate_strategy,
     exact_state_dp,
@@ -424,6 +425,49 @@ def test_layers_and_values_match_frozen_bits(name):
     assert got == FROZEN[name]
 
 
+# SHA-256 over the stored layers (as in FROZEN), then over one line
+# "node h value" in float.hex per one_step_optimize call at every node before
+# T-1: at the state the policy replay reaches and at one state off the path.
+# Keyed by (action_count, instance) on FROZEN_CONFIG.  With 201 actions the
+# 9x5x5 grid sweeps scan their actions in several blocks and the one-point
+# sweeps in one; the bits are those of the scan that took one trade per call.
+ONE_STEP_FROZEN = {
+    (21, "binomial-T4-cap"): "ecb18c862cc363cbc2b37a8f150d6e7240fd8ae91817d1752d686f46be5ed19f",
+    (21, "binomial-exp"): "b50081fdc306694debfc325b6ba5d2646bf91d0586ae7caec30d65090f8d0753",
+    (21, "det-example-exp"): "7fe7afc26c8e4d336c5dd7c3baf3f026a9d66921befdc14ecc2378a17382e896",
+    (21, "notconvex-exp"): "735c474ff17a8c8b9a0d93457f66c1d17479191c8c84992f1a1a269f339c01ae",
+    (21, "trinomial-pwl"): "6b9d15d0aea913c4d5f0657451bb1016cacb49b4ae67c05eebf974b4bc5a1b96",
+    (201, "binomial-T4-cap"): "9ab232413492e4e6effe1f0ff85d6cd1df1c13e4405ccafc9a3f4405728ab8f2",
+    (201, "binomial-exp"): "84a8c1e479e131651ac74b43c2acf938f9496fa2578930a6eb69f40390996e92",
+    (201, "det-example-exp"): "ed163ca0d2c0ad0bbf79aa92f48196240a1c34ed15c9dd8aed08a365404ccec2",
+    (201, "notconvex-exp"): "0c179600ce1fe5b5f2e873534e7220dd870878c018826ee45317814399ef1731",
+    (201, "trinomial-pwl"): "d888e9a7ecd44cbf65c8ba4d8678f6926aeaec0829564fbca77254419f6970cc",
+}
+
+
+@pytest.mark.parametrize("n_act, name", sorted(ONE_STEP_FROZEN))
+def test_one_step_results_match_frozen_bits(n_act, name):
+    tree, u = frozen_instance(name)
+    config = replace(FROZEN_CONFIG, action_count=n_act)
+    vf = backward_induce(tree, u, 0.0, config)
+    digest = hashlib.sha256()
+    for nid in sorted(vf.layers):
+        digest.update(vf.layers[nid].values.tobytes())
+        digest.update(vf.layers[nid].policy.tobytes())
+
+    def pick(node, xi, zeta, x):
+        steps = [
+            one_step_optimize(tree, node.id, MarketState(*s), vf, u, 0.0, config)
+            for s in ((xi, zeta, x), (xi + 0.5, zeta + 0.3, x - 0.35))
+        ]
+        for s in steps:
+            digest.update(f"{node.id} {s.h.hex()} {s.value.hex()}\n".encode())
+        return steps[0].h
+
+    _exact_walk(tree, pick)
+    assert digest.hexdigest() == ONE_STEP_FROZEN[(n_act, name)]
+
+
 # -- extraction and evaluation -----------------------------------------------
 
 
@@ -564,6 +608,38 @@ def test_exponential_trades_do_not_depend_on_the_endowment():
         assert report.strategy.trade_at(0).hex() == base.strategy.trade_at(0).hex()
     high = solve(tree, u, 760.0)
     assert high.root_value == 0.0 and high.diagnostics["value_gap_ok"] is True
+    # at z = -760 the root and the replay both overflow to -inf; the gap is
+    # taken at z = 0, before the values scale, so the answer certifies
+    low = solve(tree, u, -760.0)
+    assert low.root_value == low.strategy_value == -math.inf
+    assert low.diagnostics["value_gap"] == base.diagnostics["value_gap"]
+    assert low.diagnostics["value_gap_ok"] is True
+
+
+def test_exponential_ground_truth_does_not_depend_on_the_endowment():
+    # exact-state DP, the history recursion and brute force run at z = 0 under
+    # exp and scale by exp(-alpha * z), so at |z| = 760, where u(z + w)
+    # underflows to -0.0 or overflows to -inf for every trade, they still trade
+    # 0.17, as the solver does
+    tree = generate(preset("det-example"))
+    u = exponential(1.0)
+    acts = tuple((i - 100) / 100 for i in range(201))
+    grid = ActionGrid(acts)
+    at_zero = exact_state_dp(tree, u, 0.0, acts)[0]
+    for z in (0.0, 760.0, -760.0):
+        exact, strategy = exact_state_dp(tree, u, z, acts)
+        bf = brute_force_solve(tree, u, z, grid)
+        hd = history_dp(tree, u, z, grid)
+        for s in (strategy, bf.strategy, hd.strategy):
+            assert s.trade_at(0) == 0.17
+        assert bf.value.hex() == hd.value.hex()
+        assert bf.strategy.values == hd.strategy.values
+        assert exact == pytest.approx(bf.value, rel=1e-12)
+        with np.errstate(over="ignore", under="ignore"):
+            want = at_zero if z == 0.0 else float(_kernels.cara_scale(at_zero, z, u.alpha))
+        assert exact.hex() == want.hex()
+    assert exact_state_dp(tree, u, 760.0, acts)[0] == 0.0
+    assert exact_state_dp(tree, u, -760.0, acts)[0] == -math.inf
 
 
 @pytest.mark.parametrize("name, T", [("binomial", 3), ("binomial", 4), ("binomial", 5), ("notconvex", 3)])
