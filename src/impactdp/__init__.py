@@ -2,13 +2,9 @@
 
 from .dynamics import (
     MarketPath,
-    TradeSequence,
     cash_innovation,
-    cash_step,
     closing_trade,
-    decay_factor,
     innovation_envelope,
-    spread_step,
     terminal_wealth_explicit,
     terminal_wealth_recursive,
 )

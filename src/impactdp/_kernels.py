@@ -72,6 +72,7 @@ __all__ = [
     "BACKEND",
     "U_FLOOR",
     "cara_scale",
+    "symmetric_grid",
     "sweep_exact",
     "sweep_grid",
     "forced_layer",
@@ -181,6 +182,17 @@ def _lerp(lo, hi, f, g):
     return lo
 
 
+def symmetric_grid(hi, n):
+    """n points on [-hi, hi]; odd n puts an exact 0.0 at the centre, also
+    when hi is inf."""
+    if n % 2 == 0:
+        return np.linspace(-hi, hi, n)
+    m = (n - 1) // 2
+    grid = np.array([hi * ((i - m) / m) for i in range(n)])
+    grid[m] = 0.0
+    return grid
+
+
 def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
     """Shared state-vectorized optimizer; ``cand`` maps trades to values.
 
@@ -226,10 +238,8 @@ def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
             big = big * kfac
             nexp += active
             rounds += 1
-        shared = float(big)
         m = (n_act - 1) // 2
-        hs = np.array([shared * ((iact - m) / m) for iact in range(n_act)])
-        hs[m] = 0.0  # exact also when the bound overflowed to inf
+        hs = symmetric_grid(float(big), n_act)
         best_v = v0
         best_i = np.full(shape, m)
         # 0, -d, +d, -2d, +2d, ...: a strict > keeps the first maximum met

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -31,6 +32,16 @@ from .tree import (
 from .utility import check_assumptions, parse_utility
 
 __all__ = ["main"]
+
+# solve flag -> (SolveConfig field, help); its type and default are the field's
+_SOLVE_FLAGS = {
+    "--grid-xi": ("xi_count", "cash grid points (cap and pwl only: exp layers have no cash axis)"),
+    "--grid-zeta": ("zeta_count", "spread grid points"),
+    "--grid-x": ("x_count", "position grid points"),
+    "--actions": ("action_count", "action grid points (odd)"),
+    "--k0": ("k0", "initial action half-width"),
+    "--k-factor": ("k_factor", "half-width expansion factor"),
+}
 
 
 def _add_source(p: argparse.ArgumentParser) -> None:
@@ -62,14 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="grid solver: value functions plus an extracted strategy")
     _add_source(p)
     _add_common(p)
-    p.add_argument(
-        "--grid-xi", type=int, default=41, help="cash grid points (cap and pwl only: exp layers have no cash axis)"
-    )
-    p.add_argument("--grid-zeta", type=int, default=21, help="spread grid points")
-    p.add_argument("--grid-x", type=int, default=21, help="position grid points")
-    p.add_argument("--actions", type=int, default=201, help="action grid points (odd)")
-    p.add_argument("--k0", type=float, default=1.0, help="initial action half-width")
-    p.add_argument("--k-factor", type=float, default=2.0, help="half-width expansion factor")
+    defaults = SolveConfig()
+    for flag, (name, text) in _SOLVE_FLAGS.items():
+        default = getattr(defaults, name)
+        p.add_argument(flag, dest=name, type=type(default), default=default, help=text)
 
     p = sub.add_parser("oracle", help="exhaustive solvers on a finite action grid")
     _add_source(p)
@@ -129,14 +136,7 @@ def _emit_json(obj: dict, out: str | None) -> None:
 def _cmd_solve(args) -> int:
     tree, source = _load_tree(args)
     u = parse_utility(args.utility)
-    config = SolveConfig(
-        xi_count=args.grid_xi,
-        zeta_count=args.grid_zeta,
-        x_count=args.grid_x,
-        action_count=args.actions,
-        k0=args.k0,
-        k_factor=args.k_factor,
-    )
+    config = SolveConfig(**{name: getattr(args, name) for name, _ in _SOLVE_FLAGS.values()})
     report = solve(tree, u, args.z, config)
     payload = {
         "command": "solve",
@@ -269,6 +269,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "gen-tree": _cmd_gen_tree,
     }
     try:
+        if not math.isfinite(getattr(args, "z", 0.0)):
+            raise ValueError(f"--z must be a finite number, got {args.z!r}")
         return handlers[args.command](args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,11 +26,7 @@ import numpy as np
 
 __all__ = [
     "MarketPath",
-    "TradeSequence",
-    "decay_factor",
     "transition",
-    "spread_step",
-    "cash_step",
     "cash_innovation",
     "innovation_envelope",
     "closing_trade",
@@ -114,24 +110,6 @@ class MarketPath:
         return math.exp(-(float(self._rsums[t]) - float(self._rsums[j])))
 
 
-@dataclass(frozen=True)
-class TradeSequence:
-    """Trades executed at dates 1..T on a path."""
-
-    h: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h", _as_float_array(self.h, "h"))
-
-    @property
-    def T(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def is_liquidating(self) -> bool:
-        return abs(_left_fold_sum(self.h)) <= LIQUIDATION_TOL
-
-
 class InnovationEnvelope(NamedTuple):
     value: float
     cap: float
@@ -140,31 +118,6 @@ class InnovationEnvelope(NamedTuple):
 class RecursiveWealth(NamedTuple):
     xi: float
     spreads: np.ndarray
-
-
-def _left_fold_sum(values: Sequence[float]) -> float:
-    acc = 0.0
-    for v in values:
-        acc = acc + float(v)
-    return acc
-
-
-def decay_factor(r: Sequence[float], j: int, t: int) -> float:
-    """exp of minus the resilience accumulated over steps j..t-1.
-
-    ``r`` lists the per-step resilience rates r_0..r_{T-1}; the factor tells
-    how much of a spread opened just after date j survives to date t.
-    """
-    T = len(r)
-    if not 0 <= j <= t <= T:
-        raise ValueError(f"need 0 <= j <= t <= {T}, got j={j}, t={t}")
-    acc = 0.0
-    for i in range(j, t):
-        ri = float(r[i])
-        if ri < 0.0:
-            raise ValueError("resilience r must be nonnegative")
-        acc = acc + ri
-    return math.exp(-acc)
 
 
 def transition(xi, zeta, dx, adx, decay, price, depth):
@@ -177,25 +130,6 @@ def transition(xi, zeta, dx, adx, decay, price, depth):
     """
     zeta_next = decay * zeta + adx / depth
     return xi - price * dx - zeta_next * adx, zeta_next
-
-
-def spread_step(zeta: float, r_t: float, delta_next: float, dx: float) -> float:
-    """One step of the half-spread recursion: decay, then widen by |dx|/depth."""
-    if zeta < 0.0:
-        raise ValueError("half-spread zeta must be nonnegative")
-    if r_t < 0.0:
-        raise ValueError("resilience r must be nonnegative")
-    if delta_next <= 0.0:
-        raise ValueError("depth delta must be positive")
-    return transition(0.0, zeta, dx, abs(dx), math.exp(-r_t), 0.0, delta_next)[1]
-
-
-def cash_step(xi: float, p_next: float, zeta_next: float, dx: float) -> float:
-    """Cash after trading dx at midprice p_next against half-spread zeta_next."""
-    if zeta_next < 0.0:
-        raise ValueError("half-spread zeta must be nonnegative")
-    # zeta_next is already the post-trade spread: no decay, infinite depth
-    return transition(xi, zeta_next, dx, abs(dx), 1.0, p_next, math.inf)[0]
 
 
 def _kappa_core(
@@ -251,15 +185,17 @@ def innovation_envelope(p_t: float, delta_t: float, h_t: float) -> InnovationEnv
 
 def closing_trade(h: Sequence[float]) -> float:
     """Final trade that returns the position to exactly zero after trades h."""
-    total = _left_fold_sum(h)
+    total = 0.0
+    for v in h:
+        total = total + float(v)
     if total == 0.0:
         return 0.0
     return -total
 
 
-def terminal_wealth_explicit(path: MarketPath, trades: TradeSequence | Sequence[float]) -> float:
+def terminal_wealth_explicit(path: MarketPath, trades: Sequence[float]) -> float:
     """Terminal cash as the date-ascending sum of cash innovations."""
-    h = trades.h if isinstance(trades, TradeSequence) else _as_float_array(trades, "h")
+    h = _as_float_array(trades, "h")
     if h.shape[0] != path.T:
         raise ValueError(f"need T={path.T} trades, got {h.shape[0]}")
     acc = 0.0
@@ -268,16 +204,14 @@ def terminal_wealth_explicit(path: MarketPath, trades: TradeSequence | Sequence[
     return acc
 
 
-def terminal_wealth_recursive(
-    path: MarketPath, trades: TradeSequence | Sequence[float]
-) -> RecursiveWealth:
+def terminal_wealth_recursive(path: MarketPath, trades: Sequence[float]) -> RecursiveWealth:
     """Terminal cash via the state recursion; also returns the spread trace.
 
     Starts from (xi, zeta) = (0, zeta0) and applies ``transition`` date by
     date.  Agrees with ``terminal_wealth_explicit`` to float rounding; the pair
     is the package's first line of defense against index slips in either form.
     """
-    h = trades.h if isinstance(trades, TradeSequence) else _as_float_array(trades, "h")
+    h = _as_float_array(trades, "h")
     if h.shape[0] != path.T:
         raise ValueError(f"need T={path.T} trades, got {h.shape[0]}")
     xi = 0.0

@@ -44,7 +44,7 @@ scores every candidate with the same replay, unchecked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -146,7 +146,7 @@ class SolveConfig:
         T = tree.T
         x_max = self.k0 * T
         if self.x_bounds is None:
-            x_axis = _symmetric_axis(x_max, self.x_count)
+            x_axis = _kernels.symmetric_grid(x_max, self.x_count)
         else:
             x_axis = np.linspace(self.x_bounds[0], self.x_bounds[1], self.x_count)
         if self.zeta_bounds is None:
@@ -173,27 +173,8 @@ class SolveConfig:
         return GridAxes(xi=xi_axis, zeta=zeta_axis, x=x_axis)
 
     def echo(self) -> dict:
-        return {
-            "xi_bounds": list(self.xi_bounds) if self.xi_bounds else None,
-            "xi_count": self.xi_count,
-            "zeta_bounds": list(self.zeta_bounds) if self.zeta_bounds else None,
-            "zeta_count": self.zeta_count,
-            "x_bounds": list(self.x_bounds) if self.x_bounds else None,
-            "x_count": self.x_count,
-            "action_count": self.action_count,
-            "k0": self.k0,
-            "k_factor": self.k_factor,
-            "max_k_expansions": self.max_k_expansions,
-            "value_tol": self.value_tol,
-        }
-
-
-def _symmetric_axis(hi: float, n: int) -> np.ndarray:
-    """Axis on [-hi, hi]; odd n puts an exact 0.0 at the center."""
-    if n % 2 == 0:
-        return np.linspace(-hi, hi, n)
-    m = (n - 1) // 2
-    return np.array([hi * ((i - m) / m) for i in range(n)], dtype=np.float64)
+        """Every field by name, bound pairs as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass

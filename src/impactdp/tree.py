@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -138,9 +138,6 @@ class ScenarioTree:
 
     def children(self, node_id: int) -> list[TreeNode]:
         return [self._nodes[c] for c in self._children[node_id]]
-
-    def child_ids(self, node_id: int) -> list[int]:
-        return list(self._children[node_id])
 
     @property
     def root(self) -> TreeNode:
@@ -360,29 +357,29 @@ class PredictableAssignment:
         return np.array([self.values[n.id] for n in chain[:-1]], dtype=np.float64)
 
     def is_liquidating(self, tree: ScenarioTree) -> bool:
-        for leaf in tree.leaves():
-            total = 0.0
-            for h in self.trades_to_leaf(tree, leaf.id):
-                total = total + float(h)
-            if abs(total) > LIQUIDATION_TOL:
-                return False
-        return True
+        return all(
+            abs(closing_trade(self.trades_to_leaf(tree, leaf.id))) <= LIQUIDATION_TOL for leaf in tree.leaves()
+        )
 
     def to_report(self) -> list[dict]:
         return [{"node": int(k), "h": float(self.values[k])} for k in sorted(self.values)]
 
     @classmethod
     def from_report(cls, entries: Sequence[Mapping]) -> "PredictableAssignment":
+        """Inverse of ``to_report``: a list of objects with exactly the keys
+        ``node`` (an integer) and ``h`` (a number)."""
+        if not isinstance(entries, list):
+            raise ValueError("a strategy must be a list of {node, h} objects")
         values = {}
-        for e in entries:
+        for i, e in enumerate(entries):
+            if not isinstance(e, Mapping) or set(e) != {"node", "h"}:
+                raise ValueError(f"strategy entry {i} must be an object with exactly the keys node and h")
             values[_require_int(e["node"], "node")] = _require_number(e["h"], "h")
         return cls(values)
 
 
 # -- generators ------------------------------------------------------------
 
-
-PRESET_NAMES = ("det-example", "zero-price", "binomial", "notconvex")
 
 _KINDS = ("deterministic", "binomial", "trinomial", "quantized_gaussian")
 
@@ -531,6 +528,8 @@ _PRESETS: dict[str, GeneratorSpec] = {
         atoms=3,
     ),
 }
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str, **overrides) -> GeneratorSpec:

@@ -9,6 +9,7 @@ is never assumed anywhere in the package.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -97,11 +98,17 @@ class UtilitySpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown utility family {self.family!r}")
-        if self.family == "exp" and not self.alpha > 0.0:
-            raise ValueError("exponential utility needs alpha > 0")
+        # the standing assumption needs a finite bound c_u, so every
+        # parameter must be finite
+        if self.family == "exp" and not 0.0 < self.alpha < math.inf:
+            raise ValueError("exponential utility needs a finite alpha > 0")
+        if self.family == "cap" and not math.isfinite(self.cap):
+            raise ValueError("capped linear utility needs a finite cap")
         if self.family == "pwl":
             if len(self.knots) < 1:
                 raise ValueError("piecewise linear utility needs at least one knot")
+            if not all(math.isfinite(c) for knot in self.knots for c in knot):
+                raise ValueError("knot coordinates must be finite")
             xs = [k[0] for k in self.knots]
             if any(b <= a for a, b in zip(xs, xs[1:])):
                 raise ValueError("knot x-coordinates must be strictly increasing")

@@ -167,6 +167,19 @@ def test_evaluate_accepts_a_bare_strategy_report(tmp_path, capsys):
     assert payload["value"] == pytest.approx(exponential(1.0)(0.5 - 3 * 0.25), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [[{"node": 0}], {"foo": 1}, [1, 2]],
+    ids=["entry-without-h", "object-without-strategy", "list-of-numbers"],
+)
+def test_evaluate_rejects_a_malformed_strategy(tmp_path, capsys, doc):
+    strategy_file = tmp_path / "strategy.json"
+    strategy_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "evaluate", "--gen", "det-example", "--strategy", str(strategy_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "strategy" in err
+
+
 # -- demo --------------------------------------------------------------------
 
 def test_demo_nonconvex_reports_a_positive_margin(capsys):
@@ -256,6 +269,24 @@ def test_malformed_tree_json_is_an_input_error(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, "solve", "--tree", str(bad))
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--gen", "det-example", "--z=nan"),
+        ("solve", "--gen", "det-example", "--z=nan"),
+        ("evaluate", "--gen", "det-example", "--strategy", "unread.json", "--z=-inf"),
+        ("solve", "--gen", "det-example", "--utility", "cap:cap=nan"),
+        ("solve", "--gen", "det-example", "--utility", "pwl:knots=nan,0"),
+        ("solve", "--gen", "det-example", "--utility", "pwl:knots=0,0;1,inf"),
+        ("solve", "--gen", "det-example", "--utility", "exp:alpha=inf"),
+    ],
+)
+def test_non_finite_inputs_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite" in err
 
 
 def test_seed_is_echoed_for_generated_trees(capsys):

@@ -9,17 +9,14 @@ from hypothesis import given, settings, strategies as st
 from impactdp.dynamics import (
     LIQUIDATION_TOL,
     MarketPath,
-    TradeSequence,
     cash_innovation,
-    cash_step,
     closing_trade,
-    decay_factor,
     innovation_envelope,
-    spread_step,
     terminal_wealth_explicit,
     terminal_wealth_recursive,
     transition,
 )
+from impactdp.tree import GeneratorSpec, PredictableAssignment, generate
 
 
 def make_path(T, zeta0, P, r, delta, **kw):
@@ -47,29 +44,39 @@ def paths_and_trades(draw, t_max=6):
 
 def test_decay_factor_worked_value():
     # decay over steps 1..2 of r=(0.1, 0.2, 0.3) is exp(-(0.2 + 0.3))
-    assert decay_factor((0.1, 0.2, 0.3), 1, 3) == pytest.approx(math.exp(-0.5), rel=1e-15)
-    assert decay_factor((0.1, 0.2, 0.3), 2, 2) == 1.0
+    path = make_path(3, 0.0, np.zeros(4), (0.1, 0.2, 0.3), np.ones(3))
+    assert path.decay(1, 3) == pytest.approx(math.exp(-0.5), rel=1e-15)
+    assert path.decay(2, 2) == 1.0
 
 
 def test_decay_factor_rejects_bad_indexing():
+    path = make_path(2, 0.0, np.zeros(3), (0.1, 0.2), np.ones(2))
     with pytest.raises(ValueError):
-        decay_factor((0.1, 0.2), 2, 1)
+        path.decay(2, 1)
     with pytest.raises(ValueError):
-        decay_factor((0.1, 0.2), -1, 1)
+        path.decay(-1, 1)
+    with pytest.raises(ValueError):
+        path.decay(0, 3)
 
 
 def test_spread_step_worked_value():
-    got = spread_step(0.3, 0.7, 2.0, 0.5)
+    # zeta' = exp(-r) * zeta + |dx| / depth with r = 0.7, depth = 2
+    _, got = transition(0.0, 0.3, 0.5, 0.5, math.exp(-0.7), 0.0, 2.0)
     assert got == math.exp(-0.7) * 0.3 + 0.25
 
 
 def test_spread_step_uses_magnitude_of_trade():
-    assert spread_step(0.3, 0.7, 2.0, -0.5) == spread_step(0.3, 0.7, 2.0, 0.5)
+    buy = transition(1.0, 0.3, 0.5, abs(0.5), math.exp(-0.7), 10.0, 2.0)
+    sell = transition(1.0, 0.3, -0.5, abs(-0.5), math.exp(-0.7), 10.0, 2.0)
+    assert buy[1] == sell[1]
+    # the cash pays the same spread either way and the notional with its sign
+    assert (buy[0], sell[0]) == (1.0 - 5.0 - buy[1] * 0.5, 1.0 + 5.0 - buy[1] * 0.5)
 
 
 def test_cash_step_worked_value():
-    # sell 2 at price 10 with half-spread 0.25: receive 20, pay 0.5 friction
-    assert cash_step(1.0, 10.0, 0.25, -2.0) == 1.0 + 20.0 - 0.5
+    # sell 2 at price 10 into an empty book of depth 8: the half-spread
+    # becomes 0.25, so receive 20 and pay 0.5 friction
+    assert transition(1.0, 0.0, -2.0, 2.0, 1.0, 10.0, 8.0) == (1.0 + 20.0 - 0.5, 0.25)
 
 
 @settings(max_examples=100, deadline=None)
@@ -97,12 +104,15 @@ def test_path_decay_matches_decay_factor():
     path = make_path(4, 0.0, np.zeros(5), r, np.ones(4))
     for j in range(5):
         for t in range(j, 5):
+            acc = 0.0
+            for i in range(j, t):
+                acc = acc + r[i]
             if j == 0:
                 # same left-fold sum, so the factors from the root are bit-equal
-                assert path.decay(0, t) == decay_factor(r, 0, t)
+                assert path.decay(0, t) == math.exp(-acc)
             else:
                 # interior factors difference two prefix sums; an ulp apart at most
-                assert path.decay(j, t) == pytest.approx(decay_factor(r, j, t), rel=1e-15)
+                assert path.decay(j, t) == pytest.approx(math.exp(-acc), rel=1e-15)
 
 
 def test_large_horizon_skips_rho_table_same_values():
@@ -188,8 +198,9 @@ def test_recursive_spread_trace_matches_spread_step_fold(pt):
     zeta = path.zeta0
     xi = 0.0
     for t in range(1, path.T + 1):
-        zeta = spread_step(zeta, float(path.r[t - 1]), float(path.delta[t - 1]), h[t - 1])
-        xi = cash_step(xi, float(path.P[t]), zeta, h[t - 1])
+        # the two formulas of the model, written out by hand
+        zeta = math.exp(-float(path.r[t - 1])) * zeta + abs(h[t - 1]) / float(path.delta[t - 1])
+        xi = xi - float(path.P[t]) * h[t - 1] - zeta * abs(h[t - 1])
         assert rec.spreads[t - 1] == zeta
         assert zeta >= 0.0
     assert rec.xi == xi
@@ -256,10 +267,19 @@ def test_closing_trade_is_exact():
 
 
 def test_trade_sequence_liquidation_flag():
-    assert TradeSequence(np.array([1.0, -0.25, -0.75])).is_liquidating
-    assert TradeSequence(np.array([0.1, 0.2, closing_trade((0.1, 0.2))])).is_liquidating
-    assert not TradeSequence(np.array([1.0, -0.25, -0.75 + 1e-9])).is_liquidating
+    line = generate(GeneratorSpec(kind="deterministic", T=3, prices=(0.0, 0.0, 0.0, 0.0)))
+
+    def closes(*h):
+        return PredictableAssignment(dict(enumerate(h))).is_liquidating(line)
+
+    assert closes(1.0, -0.25, -0.75)
+    assert closes(0.1, 0.2, closing_trade((0.1, 0.2)))
+    assert not closes(1.0, -0.25, -0.75 + 1e-9)
     assert LIQUIDATION_TOL == 1e-12
+    # every path must close, not just the first
+    fork = generate(GeneratorSpec(kind="binomial", T=2))
+    assert PredictableAssignment({0: 1.0, 1: -1.0, 2: -1.0}).is_liquidating(fork)
+    assert not PredictableAssignment({0: 1.0, 1: -1.0, 2: -1.0 + 1e-9}).is_liquidating(fork)
 
 
 def test_closed_schedule_keeps_wealth_finite_and_exact():

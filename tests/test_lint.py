@@ -1,0 +1,75 @@
+"""Static checks of the package source with the standard-library ``ast``.
+
+No linter ships with the project, so two of its checks are written here: every
+import of a module is used, and every exported name resolves, both the
+strings of a module's ``__all__`` and the names the package ``__init__``
+imports from its modules.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "impactdp"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _tree(stem: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+
+
+def _imports(nodes) -> dict[str, int]:
+    """Names bound by the import statements among ``nodes``, with their lines."""
+    bound = {}
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return bound
+
+
+def _bindings(module: ast.Module) -> set[str]:
+    """Names bound at module level: definitions, assignments and imports."""
+    names = set(_imports(module.body))
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _exports(module: ast.Module) -> list[str]:
+    for node in module.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_every_import_is_used(stem):
+    module = _tree(stem)
+    used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+    used.update(_exports(module))
+    unused = sorted(f"{name} (line {line})" for name, line in _imports(ast.walk(module)).items() if name not in used)
+    assert not unused, f"{stem}.py imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_every_name_in_all_resolves(stem):
+    module = _tree(stem)
+    missing = sorted(set(_exports(module)) - _bindings(module))
+    assert not missing, f"{stem}.__all__ names what {stem}.py never binds: {', '.join(missing)}"
+
+
+def test_every_package_export_resolves():
+    missing = []
+    for node in _tree("__init__").body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            bound = _bindings(_tree(node.module))
+            missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in bound]
+    assert not missing, f"impactdp/__init__.py imports names that do not exist: {', '.join(missing)}"
