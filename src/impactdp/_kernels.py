@@ -13,14 +13,13 @@ multilinear interpolation ``_interp3`` under cap and pwl utility and by the
 CARA hook ``_cara_interp`` under exponential utility.  All states of a node are
 swept at once as broadcast views of the three axes, xi on axis 0, zeta on
 axis 1 and x on axis 2, and the candidate trades of one call lie on a leading
-axis of their own: one trade for all states in the bound search, a block of
-trades in the action scan.  So each intermediate is computed on the axes it
-depends on: zeta' on the trade-by-zeta slab, x' on the trade-by-x slab and
-xi' on the trade-by-xi-by-zeta block.  The interpolation follows the same
-split in two stages: it blends the child grid's rows over xi' and zeta' once
-per xi-by-zeta query, for every grid column, and then picks and blends the two
-columns around each x'.  Only the second stage and the utility run over every
-state and trade.
+axis of their own.  So each intermediate is computed on the axes it depends
+on: zeta' on the trade-by-zeta slab, x' on the trade-by-x slab and xi' on the
+trade-by-xi-by-zeta block.  The interpolation follows the same split in two
+stages: it blends the child grid's rows over xi' and zeta' once per xi-by-zeta
+query, for every grid column, and then picks and blends the two columns around
+each x'.  Only the second stage and the utility run over every state and
+trade.
 
 Under u(w) = -exp(-a*w) cash enters wealth additively, so a value function
 factors exactly as V(xi, zeta, x) = exp(-a*xi) * V(0, zeta, x).  Exponential
@@ -37,28 +36,30 @@ keeps, since a zero blend weight would otherwise form 0 * inf.  ``U_FLOOR`` is
 left to the cap and pwl families, whose grids interpolate along cash.
 
 A sweep runs in two phases.  Phase one searches, per state, for a truncation
-bound K = k0 * k_factor**n such that the candidates at h = +-K both fall below
-the candidate at h = 0; the search stops early (with the failure warning) when
-two successive boundary probes return bit-identical values, which happens when
-the transitions have saturated the clamped grid box or the utility floor and
-further doubling carries no information.  Phase two scans every state over one
-shared action set, symmetric around an exact 0.0 on [-K_layer, K_layer] with
-K_layer the maximum bound found in phase one.  Sharing the action set across
-the layer is what makes the swept values non-decreasing along the cash axis:
-each candidate's value is monotone in xi, and a max over a state-independent
+bound K = K_START * K_FACTOR**n such that the candidates at h = +-K both fall
+below the candidate at h = 0; the search stops early (with the failure
+warning) when two successive boundary probes return bit-identical values,
+which happens when the transitions have saturated the clamped grid box or the
+utility floor and further doubling carries no information, and after
+K_ROUNDS rounds at most; the solver passes these fixed constants in the
+kernels' search slots.  Phase two scans every state over one shared action
+set, symmetric around an exact 0.0 on [-K_layer, K_layer] with K_layer the
+maximum bound found in phase one.  Sharing the action set across the layer is
+what makes the swept values non-decreasing along the cash axis: each
+candidate's value is monotone in xi, and a max over a state-independent
 candidate set preserves that, whereas per-state action sets can lose it when
 neighbouring states truncate at different bounds.  The scan visits the
 actions in increasing (|h|, sign) order, 0, -d, +d, -2d, +2d, ..., and takes a
 candidate only when it is strictly better, so the first maximum met wins: ties
 go to the smallest trade, then to the sale, and a NaN candidate never wins.
-It evaluates the actions in that order in blocks of about ``_BLOCK`` elements,
-max(1, _BLOCK // states) trades per candidate call, and then updates the best
-values one trade of the block after another.  Every candidate value is the one
-a call with that trade alone gives, and the updates run in the same order, so
-the block size changes the work per NumPy call but not a bit of the result:
-an exact-state (one-point) sweep scans all its actions in one call, a
-cash-free 1x21x21 layer 37 at a time, and a grid of more than 8192 states,
-such as a 41x21x21 cap or pwl layer, one at a time.
+Both phases take their trades through one block path: the h = 0 probe, each
+round's +-K pair and the scan's actions reach the candidate in blocks of
+max(1, _BLOCK // states) trades, and the best values are then updated one
+trade after another.  A candidate value is the one a call with that trade
+alone gives, so the block size changes the work per call but not a bit of the
+result: a one-point sweep makes one call per round and one for its scan, a
+cash-free 1x21x21 layer takes 37 trades per call, and a grid of more than 8192
+states, such as a 41x21x21 cap or pwl layer, one.
 """
 
 from __future__ import annotations
@@ -85,9 +86,11 @@ BACKEND = "numpy"
 U_FLOOR = -1e300
 
 
-# elements of one candidate call in the action scan: a block of trades times
-# the swept states
+# elements of one candidate call: a block of trades times the swept states
 _BLOCK = 1 << 14
+
+# the bound search: first half-width, growth per round and most rounds
+K_START, K_FACTOR, K_ROUNDS = 1.0, 2.0, 40
 
 # the most negative value that blends of two such values cannot overflow
 _BLEND_MIN = -np.finfo(np.float64).max / 4.0
@@ -196,24 +199,30 @@ def symmetric_grid(hi, n):
 def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
     """Shared state-vectorized optimizer; ``cand`` maps trades to values.
 
-    ``cand(XI, ZE, XX, H)`` gets the axes as broadcast views and returns the
-    candidate values of every state as a new array: of shape (nx, nz, nxx)
-    for a scalar trade H, and of shape (n, nx, nz, nxx) for a block of n
-    trades given as H of shape (n, 1, 1, 1).  Per-state bound search with the
-    dominance, plateau, and max-expansion exits in that order, then one scan
-    of all states over the action set built from the layer-wide maximum
-    bound.  A state still searching in round n probes +-k0 * kfac**n, the
-    same bound for every such state, so each probe is one scalar trade; the
-    values of states that already stopped are not read.  The scan takes the
-    actions in blocks of max(1, _BLOCK // states) in scan order, one
-    candidate call per block, and keeps the strict-> update per trade.
+    ``cand(XI, ZE, XX, H)`` gets the axes as broadcast views and a block of n
+    trades as H of shape (n, 1, 1, 1), and returns the candidate values of
+    every state as a new array of shape (n, nx, nz, nxx).  Per-state bound
+    search with the dominance, plateau, and max-expansion exits in that
+    order, then one scan of all states over the action set built from the
+    layer-wide maximum bound.  A state still searching in round n probes
+    +-k0 * kfac**n, the same bound for every such state, so each round is one
+    pair of trades; the values of states that already stopped are not read.
+    ``values`` makes every candidate call, max(1, _BLOCK // states) trades at
+    a time, and the scan keeps the strict-> update per trade.
     """
     XI = xg[:, None, None]
     ZE = zg[None, :, None]
     XX = xxg[None, None, :]
     shape = (xg.shape[0], zg.shape[0], xxg.shape[0])
+    size = max(1, _BLOCK // (shape[0] * shape[1] * shape[2]))
+
+    def values(hs):
+        hs = np.asarray(hs, dtype=np.float64)
+        for start in range(0, hs.size, size):
+            yield from cand(XI, ZE, XX, hs[start : start + size].reshape(-1, 1, 1, 1))
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        v0 = cand(XI, ZE, XX, 0.0)
+        (v0,) = values([0.0])
         big = k0
         active = np.ones(shape, dtype=bool)
         nexp = np.zeros(shape, dtype=np.int64)
@@ -221,8 +230,7 @@ def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
         prev_vp = prev_vm = None
         rounds = 0
         while True:
-            vp = cand(XI, ZE, XX, big)
-            vm = cand(XI, ZE, XX, -big)
+            vp, vm = values([big, -big])
             active &= ~((vp <= v0) & (vm <= v0))
             if rounds > 0:
                 flat = active & (vp == prev_vp) & (vm == prev_vm)
@@ -244,20 +252,17 @@ def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
         best_i = np.full(shape, m)
         # 0, -d, +d, -2d, +2d, ...: a strict > keeps the first maximum met
         order = (m + np.arange(1, m + 1)[:, None] * np.array([-1, 1])).ravel()
-        size = max(1, _BLOCK // v0.size)
-        for start in range(0, order.size, size):
-            block = order[start : start + size]
-            for v, iact in zip(cand(XI, ZE, XX, hs[block].reshape(-1, 1, 1, 1)), block):
-                better = v > best_v
-                np.copyto(best_v, v, where=better)
-                best_i[better] = iact
+        for v, iact in zip(values(hs[order]), order):
+            better = v > best_v
+            np.copyto(best_v, v, where=better)
+            best_i[better] = iact
     return best_v, hs[best_i], nexp, warn
 
 
 def _over_children(decay, cp, cP, cdelta, cont):
     """``_sweep``'s candidate: sum_c p_c * cont(c, XI1, ZE1, X1) after each
     child's transition, with ``cont`` child c's value at its post-trade state.
-    The trade H is a scalar or a block of trades on a leading axis.
+    The trades H lie on a leading axis.
     """
 
     def cand(XI, ZE, XX, H):

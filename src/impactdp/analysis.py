@@ -290,11 +290,11 @@ def monte_carlo_eval(
         raise ValueError("need at least two samples for a standard error")
     exact = evaluate_strategy(tree, assignment, u, z)
     leaves = tree.leaves()
-    probs = np.array([tree.extract_path(lf.id).probability for lf in leaves])
+    paths = [tree.extract_path(lf.id) for lf in leaves]
+    probs = np.array([data.probability for data in paths])
     probs = probs / probs.sum()
     vals = np.empty(len(leaves))
-    for i, lf in enumerate(leaves):
-        data = tree.extract_path(lf.id)
+    for i, (lf, data) in enumerate(zip(leaves, paths)):
         wealth = terminal_wealth_explicit(data.path, assignment.trades_to_leaf(tree, lf.id))
         vals[i] = u(z + wealth - data.endowment)
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -39,8 +39,6 @@ _SOLVE_FLAGS = {
     "--grid-zeta": ("zeta_count", "spread grid points"),
     "--grid-x": ("x_count", "position grid points"),
     "--actions": ("action_count", "action grid points (odd)"),
-    "--k0": ("k0", "initial action half-width"),
-    "--k-factor": ("k_factor", "half-width expansion factor"),
 }
 
 
@@ -57,9 +55,10 @@ def _add_source(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, z: bool = True) -> None:
     p.add_argument("--utility", default="exp:alpha=1.0", help="utility spec string")
-    p.add_argument("--z", type=float, default=0.0, help="cash endowment")
+    if z:
+        p.add_argument("--z", type=float, default=0.0, help="cash endowment")
     p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
 
 
@@ -99,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a tree, its depth profile and a utility")
     _add_source(p)
-    _add_common(p)
+    _add_common(p, z=False)
 
     p = sub.add_parser("gen-tree", help="write a built-in scenario tree as JSON")
     p.add_argument("--gen", choices=PRESET_NAMES, required=True)

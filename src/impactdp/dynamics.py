@@ -87,8 +87,8 @@ class MarketPath:
         floor = float(np.min(delta)) if self.delta_min is None else float(self.delta_min)
         if floor <= 0.0 or np.any(delta < floor):
             raise ValueError("depth delta must stay above a positive floor")
-        if self.zeta0 < 0.0:
-            raise ValueError("initial half-spread zeta0 must be nonnegative")
+        if not (math.isfinite(self.zeta0) and self.zeta0 >= 0.0):
+            raise ValueError(f"initial half-spread zeta0 must be finite and nonnegative, got {self.zeta0!r}")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "delta", delta)

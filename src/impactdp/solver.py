@@ -85,8 +85,8 @@ class MarketState:
     x: float
 
     def __post_init__(self) -> None:
-        if self.zeta < 0.0:
-            raise ValueError("half-spread zeta must be nonnegative")
+        if not (math.isfinite(self.zeta) and self.zeta >= 0.0):
+            raise ValueError(f"half-spread zeta must be finite and nonnegative, got {self.zeta!r}")
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,17 @@ class GridAxes:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Grid geometry and action-search policy for one solve.
+    """Grid geometry, action count and certification tolerance for one solve.
 
     ``None`` bounds are auto-sized from the tree: the position axis covers
-    +-(k0*T), the spread axis covers the worst case reachable with trades that
+    +-T, the spread axis covers the worst case reachable with trades that
     large, and the cash axis covers price times trade budget plus friction.
-    Auto bounds favor coverage over resolution; pass explicit bounds for tight
-    value comparisons.  ``xi_bounds`` and ``xi_count`` apply to cap and pwl
-    utility only: exponential layers are cash-free and have no cash axis.
+    Auto bounds favor coverage over resolution; pass explicit bounds for
+    tight value comparisons.  ``xi_bounds`` and ``xi_count`` apply to cap
+    and pwl utility only: exponential layers are cash-free and have no cash
+    axis.  The trade range comes from the kernels' bound search, whose start,
+    growth and round cap are fixed: ``_kernels.K_START``, ``K_FACTOR`` and
+    ``K_ROUNDS``.
     """
 
     xi_bounds: tuple[float, float] | None = None
@@ -115,9 +118,6 @@ class SolveConfig:
     x_bounds: tuple[float, float] | None = None
     x_count: int = 21
     action_count: int = 201
-    k0: float = 1.0
-    k_factor: float = 2.0
-    max_k_expansions: int = 40
     value_tol: float = 1e-2
 
     def __post_init__(self) -> None:
@@ -126,12 +126,6 @@ class SolveConfig:
                 raise ValueError(f"{name} must be at least 2")
         if self.action_count < 3 or self.action_count % 2 == 0:
             raise ValueError("action_count must be odd and at least 3")
-        if not self.k0 > 0.0:
-            raise ValueError("k0 must be positive")
-        if not self.k_factor > 1.0:
-            raise ValueError("k_factor must exceed 1")
-        if self.max_k_expansions < 0:
-            raise ValueError("max_k_expansions must be nonnegative")
         for name in ("xi_bounds", "zeta_bounds", "x_bounds"):
             b = getattr(self, name)
             if b is not None and not b[0] < b[1]:
@@ -141,10 +135,10 @@ class SolveConfig:
             raise ValueError("zeta_bounds must be nonnegative")
 
     def resolve_axes(self, tree: ScenarioTree, u: UtilitySpec | None = None) -> GridAxes:
-        """Grid axes for ``tree``; the cash axis is the single point 0.0 when
-        ``u`` is exponential."""
+        """Grid axes for ``tree``: the auto position axis is +-T, and the cash
+        axis is the single point 0.0 when ``u`` is exponential."""
         T = tree.T
-        x_max = self.k0 * T
+        x_max = float(T)
         if self.x_bounds is None:
             x_axis = _kernels.symmetric_grid(x_max, self.x_count)
         else:
@@ -280,7 +274,7 @@ def _sweep_node(tree, node, xg, zg, xxg, layers, axes, u, z, config):
         nexp = warn = 0
     else:
         cp, cP, cdelta = _fields(kids, "p", "P", "delta")
-        search = (config.k0, config.k_factor, config.max_k_expansions, config.action_count)
+        search = (_kernels.K_START, _kernels.K_FACTOR, _kernels.K_ROUNDS, config.action_count)
         if node.t == tree.T - 2:
             leaves = [tree.children(k.id) for k in kids]
             goff = np.cumsum([0] + [len(ls) for ls in leaves], dtype=np.int64)

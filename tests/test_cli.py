@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, JSON shape, determinism, round trips."""
 
+import argparse
 import json
 import math
 
 import pytest
 
+import impactdp.cli as cli
 from impactdp.cli import main
 from impactdp.tree import ScenarioTree, TreeNode, generate, preset
 from impactdp.utility import exponential
@@ -313,3 +315,64 @@ def test_gen_tree_round_trips(tmp_path, capsys):
     assert out == generate(preset("zero-price")).to_json()
     loaded = ScenarioTree.from_json(out)
     assert loaded.T == 3 and loaded.validate().ok
+
+
+# -- flags -------------------------------------------------------------------
+
+
+class ReadRecorder(argparse.Namespace):
+    """A parsed namespace that records the names read from it."""
+
+    def __init__(self, parsed):
+        super().__init__(**vars(parsed))
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return super().__getattribute__(name)
+
+
+def test_every_flag_is_read_by_its_subcommand(tmp_path, capsys):
+    # each subcommand runs once with every flag it accepts but --tree, which
+    # excludes --gen; the handler must read every parsed dest, --tree's
+    # included, so no flag is accepted and silently ignored
+    out = str(tmp_path / "out")
+    report = str(tmp_path / "report.json")
+    source = ("--gen", "binomial", "--seed", "3")
+    runs = {
+        "solve": source + ("--utility", "cap:cap=1", "--z", "0.25", "--out", report, "--grid-xi", "5",
+                           "--grid-zeta", "4", "--grid-x", "5", "--actions", "5"),
+        "evaluate": source + ("--utility", "cap:cap=1", "--z", "0.25", "--out", out, "--strategy", report),
+        "oracle": ("--gen", "det-example", "--seed", "1", "--utility", "exp:alpha=1.0", "--z", "0.5",
+                   "--out", out, "--oracle-grid=-1,0,1"),
+        "check": source + ("--utility", "cap:cap=5", "--out", out),
+        "demo": ("indirect-utility", "--format", "csv", "--out", out),
+        "gen-tree": source + ("--out", out),
+    }
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(runs) == set(commands)
+    for command, argv in runs.items():
+        accepted = {flag for a in commands[command]._actions for flag in a.option_strings} - {"-h", "--help"}
+        assert accepted - {"--tree"} == {a.split("=")[0] for a in argv if a.startswith("--")}, command
+        args = ReadRecorder(parser.parse_args((command,) + argv))
+        assert getattr(cli, "_cmd_" + command.replace("-", "_"))(args) in (0, 1), command
+        unread = set(vars(args)) - {"command", "_reads"} - args._reads
+        assert not unread, f"{command} never reads {sorted(unread)}"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--gen", "binomial", "--k0", "1"),
+        ("solve", "--gen", "binomial", "--k-factor", "2"),
+        ("check", "--gen", "binomial", "--z", "1"),
+    ],
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -156,6 +156,13 @@ def test_path_rejects_non_finite_entries():
         make_path(2, 0.0, (0.0, 0.0, 0.0), (0.0, math.inf), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("zeta0", [math.nan, math.inf, -math.inf])
+def test_path_rejects_a_non_finite_initial_spread(zeta0):
+    # a NaN zeta0 passed the sign check and replayed to a NaN wealth
+    with pytest.raises(ValueError, match="zeta0 must be finite and nonnegative"):
+        make_path(2, zeta0, (0.0, 1.0, 2.0), (0.1, 0.1), (1.0, 1.0))
+
+
 # -- cash innovation ---------------------------------------------------------
 
 

@@ -443,7 +443,7 @@ def test_block_scan_keeps_ties_and_nans_at_every_block_size(monkeypatch):
 
 
 def test_one_point_sweep_scans_every_action_in_one_call():
-    # one call at h = 0, two per bound-search round (nexp + 1 rounds), and one
+    # one call at h = 0, one per bound-search round (nexp + 1 rounds), and one
     # for the whole action scan
     calls = []
 
@@ -456,7 +456,7 @@ def test_one_point_sweep_scans_every_action_in_one_call():
             calls.clear()
             _, _, nexp, _ = K._sweep(counted, *(np.array([v]) for v in state), 1.0, 2.0, kmax, n_act)
             rounds = int(nexp[0, 0, 0]) + 1
-            assert len(calls) <= 2 * rounds + 2
+            assert len(calls) == rounds + 2
             assert calls[-1] == (n_act - 1, 1, 1, 1)
 
 

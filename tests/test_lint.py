@@ -1,9 +1,9 @@
 """Static checks of the package source with the standard-library ``ast``.
 
-No linter ships with the project, so two of its checks are written here: every
-import of a module is used, and every exported name resolves, both the
-strings of a module's ``__all__`` and the names the package ``__init__``
-imports from its modules.
+No linter ships with the project, so its checks are written here: every
+import of a module is used, every exported name resolves, both the strings of
+a module's ``__all__`` and the names the package ``__init__`` imports from its
+modules, and the solver reads every ``SolveConfig`` field.
 """
 
 import ast
@@ -73,3 +73,24 @@ def test_every_package_export_resolves():
             bound = _bindings(_tree(node.module))
             missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in bound]
     assert not missing, f"impactdp/__init__.py imports names that do not exist: {', '.join(missing)}"
+
+
+def test_every_solve_config_field_is_read():
+    # a field that only its own validation and the report echo read is a dead
+    # knob: it changes the report and nothing else
+    module = _tree("solver")
+    config = next(n for n in module.body if isinstance(n, ast.ClassDef) and n.name == "SolveConfig")
+    fields = [n.target.id for n in config.body if isinstance(n, ast.AnnAssign)]
+    skipped = {id(n) for n in config.body if isinstance(n, ast.FunctionDef) and n.name in ("__post_init__", "echo")}
+
+    def reads(node):
+        if id(node) in skipped:
+            return set()
+        found = {node.attr} if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) else set()
+        for child in ast.iter_child_nodes(node):
+            found |= reads(child)
+        return found
+
+    unread = sorted(set(fields) - reads(module))
+    assert fields
+    assert not unread, f"SolveConfig fields that solver.py never reads: {', '.join(unread)}"

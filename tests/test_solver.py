@@ -46,9 +46,9 @@ def two_leaf_tree(p_up=0.6, p_dn=None):
         ({"zeta_count": 0}, "at least 2"),
         ({"action_count": 4}, "odd"),
         ({"action_count": 1}, "odd"),
-        ({"k0": 0.0}, "positive"),
-        ({"k_factor": 1.0}, "exceed 1"),
-        ({"max_k_expansions": -1}, "nonnegative"),
+        ({"x_count": 1}, "at least 2"),
+        ({"x_bounds": (1.0, -1.0)}, "increasing"),
+        ({"zeta_bounds": (-2.0, -1.0)}, "nonnegative"),
         ({"xi_bounds": (2.0, 1.0)}, "increasing"),
         ({"zeta_bounds": (3.0, 3.0)}, "increasing"),
         ({"zeta_bounds": (-1.0, 3.0)}, "nonnegative"),
@@ -80,7 +80,7 @@ def test_explicit_bounds_are_honored_exactly():
 
 
 def test_config_echo_round_trips_through_kwargs():
-    cfg = SolveConfig(xi_bounds=(-2.0, 2.0), action_count=51, k0=0.5)
+    cfg = SolveConfig(xi_bounds=(-2.0, 2.0), action_count=51, value_tol=0.5)
     echoed = cfg.echo()
     rebuilt = SolveConfig(
         **{
@@ -94,6 +94,12 @@ def test_config_echo_round_trips_through_kwargs():
 def test_market_state_rejects_negative_spread():
     with pytest.raises(ValueError, match="nonnegative"):
         MarketState(0.0, -0.1, 0.0)
+
+
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, -math.inf])
+def test_market_state_rejects_a_non_finite_spread(zeta):
+    with pytest.raises(ValueError, match="zeta must be finite and nonnegative"):
+        MarketState(0.0, zeta, 0.0)
 
 
 # -- one-step optimization ---------------------------------------------------
@@ -197,7 +203,7 @@ def direct_kernel(tree, node, u, z, state, config):
         goff = np.cumsum([0] + [len(ls) for ls in leaves], dtype=np.int64)
         cdecay = np.array([math.exp(-k.r) for k in kids])
         packed = fields([leaf for ls in leaves for leaf in ls], "p", "P", "delta", "B")
-        search = (config.k0, config.k_factor, config.max_k_expansions, config.action_count)
+        search = (_kernels.K_START, _kernels.K_FACTOR, _kernels.K_ROUNDS, config.action_count)
         vals, _, _, _ = _kernels.sweep_exact(
             xg, zg, xxg, decay, *fields(kids, "p", "P", "delta"), cdecay, goff, *packed,
             ucode, ua, uxs, uys, z, *search,
