@@ -156,7 +156,8 @@ def _cmd_oracle(args) -> int:
     grid = ActionGrid.from_text(args.oracle_grid)
     bf = brute_force_solve(tree, u, args.z, grid)
     hd = history_dp(tree, u, args.z, grid)
-    identical = bf.value == hd.value
+    # the two must agree to the bit, in the value and in every trade
+    identical = _bits(bf) == _bits(hd)
     payload = {
         "command": "oracle",
         "source": source,
@@ -171,9 +172,14 @@ def _cmd_oracle(args) -> int:
     }
     _emit_json(payload, args.out)
     if not identical:
-        print("enumeration and recursion disagree; this is a bug", file=sys.stderr)
+        print("enumeration and recursion disagree in value or strategy; this is a bug", file=sys.stderr)
         return 1
     return 0
+
+
+def _bits(result) -> tuple[str, dict[int, str]]:
+    """An oracle result's value and trades as the hex of their floats."""
+    return float(result.value).hex(), {node: float(h).hex() for node, h in result.strategy.values.items()}
 
 
 def _cmd_evaluate(args) -> int:

@@ -7,6 +7,14 @@ arithmetic through the shared evaluation walk in :mod:`.solver`, and expected
 value is monotone in each subtree value, so the two results are equal to the
 last bit, not merely to a tolerance.  That identity is the ground truth the
 grid solver is tested against.
+
+Enumeration does not replay the whole tree for every candidate.  Below the
+root, a subtree's value is a function of its node, the trade history above it
+and the trades at the decision nodes inside it: the node fixes the path data
+and the history fixes the wealth, so brute force computes each such value once
+and reuses the float for every later candidate that shares the key.  The
+reused value is the one a full replay would compute again, so the bits cannot
+change.
 """
 
 from __future__ import annotations
@@ -14,11 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .dynamics import closing_trade
-from .solver import _cara_shift, _child_sum, _node_value, _replay, _run_z, _tie_key
+from .solver import _cara_shift, _child_sum, _node_value, _run_z, _tie_key
 from .tree import PredictableAssignment, ScenarioTree
 from .utility import UtilitySpec
 
@@ -79,13 +89,34 @@ class OracleResult:
     candidates: int
 
 
-def _closure_values(tree: ScenarioTree, decided: dict[int, float]) -> dict[int, float]:
-    """Extend free trades with the forced closing trade at every date-(T-1) node."""
+def _closing_chains(tree: ScenarioTree) -> list[tuple[int, tuple[int, ...]]]:
+    """Each date-(T-1) node's id with the ids of its ancestors, root first."""
+    return [
+        (node.id, tuple(a.id for a in tree.parent_chain(node.id)[:-1]))
+        for node in tree.nodes_at(tree.T - 1)
+    ]
+
+
+def _closure_values(chains: list[tuple[int, tuple[int, ...]]], decided: dict[int, float]) -> dict[int, float]:
+    """Extend free trades with the forced closing trade at every date-(T-1)
+    node; ``chains`` is ``_closing_chains(tree)``."""
     values = dict(decided)
-    for node in tree.nodes_at(tree.T - 1):
-        hs = tuple(values[a.id] for a in tree.parent_chain(node.id)[:-1])
-        values[node.id] = closing_trade(hs)
+    for node_id, ancestors in chains:
+        values[node_id] = closing_trade(tuple(values[a] for a in ancestors))
     return values
+
+
+def _combos(tree: ScenarioTree, grid: ActionGrid, cap: int):
+    """The free-choice node ids and an iterator over every tuple of their
+    trades, in ``itertools.product`` order; raises ``CapacityError`` if there
+    are more than ``cap`` tuples."""
+    ids = tree.decision_ids()
+    count = len(grid) ** len(ids)
+    if count > cap:
+        raise CapacityError(
+            f"{len(grid)}^{len(ids)} = {count} strategies exceeds the cap of {cap}"
+        )
+    return ids, itertools.product(grid.values, repeat=len(ids))
 
 
 def enumerate_strategies(tree: ScenarioTree, grid: ActionGrid, cap: int = DEFAULT_CAP):
@@ -94,14 +125,54 @@ def enumerate_strategies(tree: ScenarioTree, grid: ActionGrid, cap: int = DEFAUL
     The count is ``len(grid) ** n`` over the ``n`` free-choice nodes; a count
     beyond ``cap`` raises ``CapacityError`` before any work is done.
     """
-    ids = tree.decision_ids()
-    count = len(grid) ** len(ids)
-    if count > cap:
-        raise CapacityError(
-            f"{len(grid)}^{len(ids)} = {count} strategies exceeds the cap of {cap}"
-        )
-    for combo in itertools.product(grid.values, repeat=len(ids)):
-        yield PredictableAssignment(_closure_values(tree, dict(zip(ids, combo))))
+    ids, combos = _combos(tree, grid, cap)
+    chains = _closing_chains(tree)
+    for combo in combos:
+        yield PredictableAssignment(_closure_values(chains, dict(zip(ids, combo))))
+
+
+class _Reuse(NamedTuple):
+    """The ``decide`` step of brute force: ``solver._Replay`` over one
+    candidate's free trades, remembering the subtree values it computes.
+
+    ``subtree`` maps a node whose key can recur to a getter of the trades at
+    the decision nodes of its subtree; the key is (node id, trade history,
+    those trades).  A key recurs only if some decision node is neither above
+    nor below the node, so the root and the nodes of a chain are not kept.
+    """
+
+    tree: ScenarioTree
+    trades: Mapping[int, float]
+    subtree: Mapping[int, Callable]
+    memo: dict
+    u: UtilitySpec
+    z: float
+
+    def __call__(self, node, rsums, deltas, hs, wealth) -> float:
+        h = self.trades[node.id]
+        get = self.subtree.get(node.id)
+        if get is None:
+            return _child_sum(self.tree, node, rsums, deltas, hs, wealth, h, self.u, self.z, self)
+        key = (node.id, hs, get(self.trades))
+        v = self.memo.get(key)
+        if v is None:
+            v = self.memo[key] = _child_sum(self.tree, node, rsums, deltas, hs, wealth, h, self.u, self.z, self)
+        return v
+
+
+def _scores(tree: ScenarioTree, grid: ActionGrid, u: UtilitySpec, z: float, cap: int):
+    """Yield each candidate's free trades, by node id in id order, with its
+    value at endowment ``z``: the float ``solver._replay`` gives the
+    candidate's strategy.  Candidates come in ``itertools.product`` order."""
+    ids, combos = _combos(tree, grid, cap)
+    chains = {i: [a.id for a in tree.parent_chain(i)] for i in ids}
+    below = {i: [d for d in ids if i in chains[d]] for i in ids}
+    # a key recurs when ancestors and subtree leave out some decision node
+    subtree = {i: itemgetter(*below[i]) for i in ids if len(chains[i]) - 1 + len(below[i]) < len(ids)}
+    memo: dict[tuple, float] = {}
+    for combo in combos:
+        decide = _Reuse(tree, dict(zip(ids, combo)), subtree, memo, u, z)
+        yield decide.trades, _node_value(tree, tree.root, (0.0,), (), (), 0.0, u, z, decide)
 
 
 def brute_force_solve(
@@ -114,23 +185,29 @@ def brute_force_solve(
     small trades first, then selling before buying.  Under exponential
     utility the candidates are scored at z = 0 and the best value is scaled
     by exp(-alpha * z), as in the grid solver.
+
+    Each subtree value below the root is computed once per (node, trade
+    history, trades inside the subtree) and reused by the later candidates
+    that share it.  The node fixes the path data and the history fixes the
+    wealth, so the reused float is the one a full replay of the candidate
+    would compute again, and every score is that replay's, bit for bit.
     """
     z_run = _run_z(u, z)
     best_v = -math.inf
-    best: PredictableAssignment | None = None
-    best_key: tuple | None = None
+    best: dict[int, float] | None = None
     n = 0
-    ids = tree.decision_ids()
     with np.errstate(over="ignore"):
-        for assignment in enumerate_strategies(tree, grid, cap):
+        for trades, v in _scores(tree, grid, u, z_run, cap):
             n += 1
-            v = _replay(tree, assignment, u, z_run)
-            key = tuple(_tie_key(assignment.values[i]) for i in ids)
-            if best is None or v > best_v or (v == best_v and key < best_key):
+            if best is None or v > best_v or (v == best_v and _tie_keys(trades) < _tie_keys(best)):
                 best_v = v
-                best = assignment
-                best_key = key
-    return OracleResult(value=_cara_shift(u, best_v, z), strategy=best, candidates=n)
+                best = trades
+    strategy = PredictableAssignment(_closure_values(_closing_chains(tree), best))
+    return OracleResult(value=_cara_shift(u, best_v, z), strategy=strategy, candidates=n)
+
+
+def _tie_keys(trades: dict[int, float]) -> tuple:
+    return tuple(_tie_key(h) for h in trades.values())
 
 
 def history_dp(

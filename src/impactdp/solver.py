@@ -38,7 +38,8 @@ an iid tree sweeps each distinct subtree once.
 ``evaluate_strategy`` walks the tree with the explicit cash-innovation form
 and is the single evaluation path shared with the exhaustive oracles, which is
 what makes oracle cross-checks exact rather than approximate: brute force
-scores every candidate with the same replay, unchecked.
+scores every candidate through the same walk, unchecked, with a ``decide``
+step that reuses the subtree values it has already computed.
 """
 
 from __future__ import annotations
@@ -133,6 +134,8 @@ class SolveConfig:
         zb = self.zeta_bounds
         if zb is not None and zb[0] < 0.0:
             raise ValueError("zeta_bounds must be nonnegative")
+        if not (math.isfinite(self.value_tol) and self.value_tol >= 0.0):
+            raise ValueError("value_tol must be finite and nonnegative")
 
     def resolve_axes(self, tree: ScenarioTree, u: UtilitySpec | None = None) -> GridAxes:
         """Grid axes for ``tree``: the auto position axis is +-T, and the cash

@@ -119,6 +119,32 @@ def test_oracle_agrees_with_itself(capsys):
     }
 
 
+@pytest.mark.parametrize("field", ["value", "strategy"])
+def test_oracle_exits_1_when_the_methods_disagree(monkeypatch, capsys, field):
+    # the two oracles agree on every shipped instance, so the disagreement is
+    # planted: a value one ulp off, or one trade with the sign of its zero flipped
+    from dataclasses import replace
+
+    from impactdp.tree import PredictableAssignment
+
+    real = cli.history_dp
+
+    def off(*args):
+        res = real(*args)
+        if field == "value":
+            return replace(res, value=math.nextafter(res.value, -math.inf))
+        trades = dict(res.strategy.values)
+        zero = next(node for node, h in trades.items() if h == 0.0)
+        trades[zero] = -trades[zero]
+        return replace(res, strategy=PredictableAssignment(trades))
+
+    monkeypatch.setattr(cli, "history_dp", off)
+    code, payload, err = run_json(capsys, "oracle", "--gen", "binomial")
+    assert code == 1
+    assert payload["methods_identical"] is False
+    assert "disagree in value or strategy" in err
+
+
 def test_oracle_reports_capacity_exhaustion(capsys, tmp_path):
     from impactdp.tree import GeneratorSpec
 

@@ -1,9 +1,13 @@
 """Exhaustive oracles: action grids, enumeration, and oracle agreement."""
 
+import gc
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import impactdp.oracle as oracle
 from impactdp.oracle import (
     ActionGrid,
     CapacityError,
@@ -11,9 +15,9 @@ from impactdp.oracle import (
     enumerate_strategies,
     history_dp,
 )
-from impactdp.solver import evaluate_strategy
+from impactdp.solver import _replay, _run_z, evaluate_strategy
 from impactdp.tree import GeneratorSpec, generate, preset
-from impactdp.utility import capped_linear, exponential
+from impactdp.utility import capped_linear, exponential, piecewise_linear
 
 
 GRID5 = ActionGrid((-1.0, -0.5, 0.0, 0.5, 1.0))
@@ -139,3 +143,69 @@ def test_history_dp_evaluation_count():
         dp = history_dp(tree, exponential(1.0), 0.0, GRID5)
         want = sum(len(GRID5) ** (tree.node(i).t + 1) for i in tree.decision_ids())
         assert dp.candidates == want
+
+
+# -- reuse of subtree values -------------------------------------------------
+
+UTILITIES = {
+    "exp": exponential(1.0),
+    "cap": capped_linear(1.0),
+    "pwl": piecewise_linear([(-1.0, -1.0), (0.0, 0.0), (1.0, 0.5)]),
+}
+
+
+@pytest.mark.parametrize("z", [0.0, 0.25])
+@pytest.mark.parametrize("family", sorted(UTILITIES))
+def test_every_candidate_scores_as_its_full_replay(family, z):
+    # brute force reuses subtree values across candidates; each score must
+    # still be the float a full replay of the candidate gives
+    tree = generate(preset("binomial"))
+    u = UTILITIES[family]
+    z_run = _run_z(u, z)
+    ids = tree.decision_ids()
+    n = 0
+    with np.errstate(over="ignore"):
+        scored = oracle._scores(tree, GRID5, u, z_run, oracle.DEFAULT_CAP)
+        for (trades, v), strategy in zip(scored, enumerate_strategies(tree, GRID5), strict=True):
+            assert list(trades.items()) == [(i, strategy.values[i]) for i in ids]
+            assert v.hex() == _replay(tree, strategy, u, z_run).hex()
+            n += 1
+    assert n == len(GRID5) ** len(ids)
+
+
+def test_each_subtree_value_is_computed_at_most_once(monkeypatch):
+    tree = generate(preset("binomial", T=4))
+    ids = tree.decision_ids()
+    inside = {i: [d for d in ids if i in {a.id for a in tree.parent_chain(d)}] for i in ids}
+    keys = Counter()
+    real = oracle._child_sum
+
+    def counted(tree_, node, rsums, deltas, hs, wealth, h, u, z, decide):
+        keys[(node.id, hs, tuple(decide.trades[i] for i in inside[node.id]))] += 1
+        return real(tree_, node, rsums, deltas, hs, wealth, h, u, z, decide)
+
+    monkeypatch.setattr(oracle, "_child_sum", counted)
+    grid = ActionGrid((-1.0, 0.0, 1.0))
+    res = brute_force_solve(tree, capped_linear(1.0), 0.0, grid)
+    assert res.candidates == 3 ** len(ids) == 2187
+    assert max(keys.values()) == 1
+    # one root sum per candidate, and each (node, history, subtree trades) key
+    # of a decision node below the root: 3**(t + subtree size) keys
+    below = sum(3 ** (tree.node(i).t + len(inside[i])) for i in ids if i != tree.root_id)
+    assert sum(keys.values()) == res.candidates + below == 2187 + 270
+
+
+def test_brute_force_leaves_no_cycles():
+    tree = generate(preset("binomial", T=4))
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        brute_force_solve(tree, capped_linear(1.0), 0.0, ActionGrid((-1.0, 0.0, 1.0)))
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert garbage == 0

@@ -52,6 +52,8 @@ def two_leaf_tree(p_up=0.6, p_dn=None):
         ({"xi_bounds": (2.0, 1.0)}, "increasing"),
         ({"zeta_bounds": (3.0, 3.0)}, "increasing"),
         ({"zeta_bounds": (-1.0, 3.0)}, "nonnegative"),
+        ({"value_tol": math.nan}, "value_tol must be finite and nonnegative"),
+        ({"value_tol": -1.0}, "value_tol must be finite and nonnegative"),
     ],
 )
 def test_config_rejects_bad_values(kwargs, message):
