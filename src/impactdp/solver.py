@@ -25,8 +25,11 @@ exp(-alpha*xi') * W(zeta', x'), exact along xi with no cash clamp and no
 utility floor (``_kernels`` has the details).  ``one_step_optimize`` runs the
 node at xi = z = 0 and scales the value to the state's cash plus z.  Cap and
 pwl layers keep the cash axis and z.  ``exact_state_dp`` and the oracles use
-no grid at all; under exponential utility they run at z = 0 as well and scale
-their value by exp(-alpha*z), and ``solve`` takes its value gap at z = 0.
+no grid at all: ``exact_state_dp`` takes the exact states an action set
+reaches as arrays, one date at a time, and sums the last two dates with the
+kernels' closed-form leaf sum, while the oracles walk trade histories in pure
+Python.  Under exponential utility they run at z = 0 as well and scale their
+value by exp(-alpha*z), and ``solve`` takes its value gap at z = 0.
 
 A node's grid depends only on its own resilience and endowment and on its
 children's (p, P, delta) and subtrees.  ``backward_induce`` gives every node
@@ -129,6 +132,8 @@ class SolveConfig:
             raise ValueError("action_count must be odd and at least 3")
         for name in ("xi_bounds", "zeta_bounds", "x_bounds"):
             b = getattr(self, name)
+            if b is not None and not all(map(math.isfinite, b)):
+                raise ValueError(f"{name} must be finite")
             if b is not None and not b[0] < b[1]:
                 raise ValueError(f"{name} must be an increasing pair")
         zb = self.zeta_bounds
@@ -498,9 +503,9 @@ def _node_value(
 def _tie_key(h: float) -> tuple[float, int]:
     """Order among trades of equal value: the smaller |h| first, then the sale.
 
-    ``exact_state_dp`` and the oracles take a candidate of equal value when
-    its key is smaller; the grid sweeps reach the same order by scanning the
-    actions as 0, -d, +d, -2d, +2d, ...
+    The oracles take a candidate of equal value when its key is smaller.
+    ``exact_state_dp`` scans its actions sorted by this key, the grid sweeps
+    scan theirs as 0, -d, +d, -2d, +2d, ..., and both keep the first maximum.
     """
     return (abs(h), 1 if h > 0.0 else 0)
 
@@ -519,52 +524,52 @@ def exact_state_dp(
     oracle to float accuracy on any instance small enough to enumerate.
     Under exponential utility it runs at z = 0, as the grid solver does, and
     scales the value by exp(-alpha * z), so a large |z| cannot make every
-    candidate overflow or underflow to the same value.
+    candidate overflow or underflow to the same value.  A forward pass gives
+    each node at dates 0..T-2 its reachable states, and a backward pass sums
+    the date-(T-1) children with ``_kernels._leaf_sum``.
     """
     acts = [float(a) for a in actions]
     if not acts:
         raise ValueError("need a nonempty action set")
-    z_run = _run_z(u, z)
-    best_h: dict[tuple, float] = {}
-    memo: dict[tuple, float] = {}
+    if not all(map(math.isfinite, acts)):
+        raise ValueError("actions must be finite")
+    acts.sort(key=_tie_key)  # stable, so the first maximum wins as in the sweeps
+    H = np.array(acts)[:, None]
 
-    def value(node: TreeNode, xi: float, zeta: float, x: float) -> float:
-        if node.t == tree.T:
-            return float(u(z_run + xi - node.B))
-        key = (node.id, xi, zeta, x)
-        if key in memo:
-            return memo[key]
-        if node.t == tree.T - 1:
-            v = _expect(node, xi, zeta, x, 0.0 if x == 0.0 else -x)
-        else:
-            picked = acts[0]
-            v = _expect(node, xi, zeta, x, picked)
-            for h in acts[1:]:
-                cand = _expect(node, xi, zeta, x, h)
-                if cand > v or (cand == v and _tie_key(h) < _tie_key(picked)):
-                    v = cand
-                    picked = h
-            best_h[key] = picked
-        memo[key] = v
-        return v
+    def step(node, child, xi, zeta, x):
+        # state j * n + i of the child is state i of the node after action j
+        xi1, ze1 = transition(xi, zeta, H, abs(H), math.exp(-node.r), child.P, child.delta)
+        return xi1, ze1, x + H
 
-    def _expect(node: TreeNode, xi: float, zeta: float, x: float, h: float) -> float:
-        decay = math.exp(-node.r)
-        ah = abs(h)
-        acc = 0.0
-        for child in tree.children(node.id):
-            xi1, ze1 = transition(xi, zeta, h, ah, decay, child.P, child.delta)
-            acc += child.p * value(child, xi1, ze1, x + h)
-        return acc
+    states = {tree.root.id: (np.zeros(1), np.full(1, tree.zeta0), np.zeros(1))}
+    values, best = {}, {}
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for t in range(tree.T - 2):
+            for node in tree.nodes_at(t):
+                for child in tree.children(node.id):
+                    states[child.id] = tuple(a.ravel() for a in step(node, child, *states[node.id]))
+        for t in range(tree.T - 2, -1, -1):
+            for node in tree.nodes_at(t):
+                tot = 0.0
+                for child in tree.children(node.id):
+                    if t < tree.T - 2:
+                        cont = values.pop(child.id).reshape(len(acts), -1)
+                    else:  # the date-(T-1) states are formed here and not kept
+                        leaves = _fields(tree.children(child.id), "p", "P", "delta", "B")
+                        closed = (math.exp(-child.r), *leaves, *u.kernel_encoding(), _run_z(u, z))
+                        cont = _kernels._leaf_sum(*step(node, child, *states[node.id]), *closed)
+                    tot = tot + child.p * cont
+                cols = np.arange(tot.shape[1])
+                j_best = np.zeros(cols.size, dtype=np.int64)
+                for j in range(1, len(acts)):
+                    j_best = np.where(tot[j] > tot[j_best, cols], j, j_best)
+                values[node.id], best[node.id] = tot[j_best, cols], j_best
 
-    with np.errstate(over="ignore"):
-        root_value = value(tree.root, 0.0, tree.zeta0, 0.0)
+    def pick(node: TreeNode, xi: float, zeta: float, x: float) -> float:
+        sxi, szeta, sx = states[node.id]
+        return acts[best[node.id][np.flatnonzero((sxi == xi) & (szeta == zeta) & (sx == x))[0]]]
 
-    strategy = _exact_walk(tree, lambda node, xi, zeta, x: best_h[(node.id, xi, zeta, x)])
-    # value and _expect reach each other through their closure cells; emptying
-    # the cells breaks that cycle, so the tables go with this frame
-    del value, _expect
-    return _cara_shift(u, root_value, z), strategy
+    return _cara_shift(u, float(values[tree.root.id][0]), z), _exact_walk(tree, pick)
 
 
 # -- top level --------------------------------------------------------------

@@ -3,10 +3,12 @@
 import gc
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from impactdp import _kernels
 from impactdp.oracle import ActionGrid, brute_force_solve, history_dp
@@ -54,6 +56,10 @@ def two_leaf_tree(p_up=0.6, p_dn=None):
         ({"zeta_bounds": (-1.0, 3.0)}, "nonnegative"),
         ({"value_tol": math.nan}, "value_tol must be finite and nonnegative"),
         ({"value_tol": -1.0}, "value_tol must be finite and nonnegative"),
+        ({"x_bounds": (-math.inf, 1.0)}, "x_bounds must be finite"),
+        ({"zeta_bounds": (0.0, math.inf)}, "zeta_bounds must be finite"),
+        ({"xi_bounds": (-1.0, math.inf)}, "xi_bounds must be finite"),
+        ({"x_bounds": (math.nan, 1.0)}, "x_bounds must be finite"),
     ],
 )
 def test_config_rejects_bad_values(kwargs, message):
@@ -536,9 +542,10 @@ def test_exact_state_dp_agrees_with_history_indexed_oracle():
 
 
 def test_recursions_leave_no_filled_tables_to_the_cycle_collector():
-    # their nested recursive functions reach themselves through closure cells,
-    # which are emptied on return: neither the memo tables nor anything else
-    # is left for the next cyclic collection
+    # history_dp's nested recursive functions reach themselves through closure
+    # cells, which it empties on return, and exact_state_dp's and
+    # forward_extract's nested functions do not refer to themselves: neither
+    # their tables nor anything else is left for the next cyclic collection
     tree = generate(preset("binomial"))
     u = exponential(1.0)
     grid = ActionGrid((-1.0, 0.0, 1.0))
@@ -586,6 +593,93 @@ def test_exact_state_dp_needs_actions():
         exact_state_dp(generate(preset("det-example")), exponential(1.0), 0.0, [])
 
 
+@pytest.mark.parametrize("acts", [[math.nan, 0.0, 0.5], [0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0]])
+def test_exact_state_dp_rejects_non_finite_actions(acts):
+    with pytest.raises(ValueError, match="actions must be finite"):
+        exact_state_dp(generate(preset("binomial")), exponential(1.0), 0.0, acts)
+
+
+def test_exact_state_dp_matches_frozen_bits_on_41_actions_at_T4():
+    # 41**3 states at each date-(T-1) node; the bits are those the memoised
+    # scalar recursion gave before the array passes replaced it
+    tree = generate(preset("binomial", T=4, p_up=0.79, resilience=0.29))
+    value, strategy = exact_state_dp(tree, exponential(1.0), 0.0, [k / 20 for k in range(-20, 21)])
+    assert value.hex() == "-0x1.e4e5e5f9acc84p-1"
+    assert strategy.trade_at(0) == 0.15
+    pairs = " ".join(f"{n} {h.hex()}" for n, h in sorted(strategy.values.items()))
+    assert hashlib.sha256(pairs.encode()).hexdigest() == (
+        "e980d29d4d03e036f01d5d8b516a7c98dabbacf1602442df9f0987db6f4f8301"
+    )
+
+
+@st.composite
+def small_trees(draw):
+    """A random non-recombining tree, T in {2, 3}, one to three children per node."""
+    T = draw(st.sampled_from((2, 3)))
+
+    def num(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    nodes = [TreeNode(id=0, parent=None, t=0, p=1.0, P=num(0.5, 1.5), r=num(0.0, 0.5))]
+    frontier = [0]
+    for t in range(1, T + 1):
+        parents, frontier = frontier, []
+        for pid in parents:
+            weights = draw(st.lists(st.floats(0.2, 1.0), min_size=1, max_size=3))
+            for w in weights:
+                frontier.append(len(nodes))
+                nodes.append(
+                    TreeNode(
+                        id=len(nodes),
+                        parent=pid,
+                        t=t,
+                        p=w / sum(weights),
+                        P=num(0.0, 2.0),
+                        r=num(0.0, 0.5) if t < T else None,
+                        delta=num(0.5, 2.0),
+                        B=num(-1.0, 1.0) if t == T else None,
+                    )
+                )
+    return ScenarioTree(T=T, zeta0=num(0.0, 0.2), nodes=nodes)
+
+
+PROPERTY_UTILITIES = (
+    exponential(1.0),
+    exponential(3.0),
+    capped_linear(0.0),
+    capped_linear(1.0),
+    capped_linear(-20.0),  # every trade reaches the cap, so only the tie-break decides
+    piecewise_linear([(-1.0, -1.0), (0.0, 0.0), (1.0, 0.5)]),
+)
+
+
+def _bits(result):
+    value, strategy = result
+    return value.hex(), {n: h.hex() for n, h in strategy.values.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_trees(),
+    st.sampled_from(PROPERTY_UTILITIES),
+    st.sampled_from((0.0, 0.25, -0.5)),
+    st.lists(st.sampled_from((-1.0, -0.5, -0.3, 0.25, 0.5, 0.7, 1.0)), unique=True, max_size=4),
+    st.data(),
+)
+def test_exact_state_dp_matches_history_dp_whatever_the_action_order(tree, u, z, trades, data):
+    acts = [0.0, *trades]
+    assert tree.validate().ok
+    got = exact_state_dp(tree, u, z, acts)
+    oracle = history_dp(tree, u, z, ActionGrid(tuple(acts)))
+    assert got[0] == pytest.approx(oracle.value, rel=1e-12, abs=1e-12)
+    # the tie-break orders actions by (|h|, sign), not by list position
+    shuffled = data.draw(st.permutations(acts))
+    at = data.draw(st.integers(0, len(acts)))
+    doubled = shuffled[:at] + [data.draw(st.sampled_from(acts))] + shuffled[at:]
+    for variant in (shuffled, doubled):
+        assert _bits(exact_state_dp(tree, u, z, variant)) == _bits(got)
+
+
 # -- full pipeline -----------------------------------------------------------
 
 
@@ -628,26 +722,28 @@ def test_exponential_ground_truth_does_not_depend_on_the_endowment():
     # exact-state DP, the history recursion and brute force run at z = 0 under
     # exp and scale by exp(-alpha * z), so at |z| = 760, where u(z + w)
     # underflows to -0.0 or overflows to -inf for every trade, they still trade
-    # 0.17, as the solver does
+    # 0.17, as the solver does, and no RuntimeWarning escapes them
     tree = generate(preset("det-example"))
     u = exponential(1.0)
     acts = tuple((i - 100) / 100 for i in range(201))
     grid = ActionGrid(acts)
-    at_zero = exact_state_dp(tree, u, 0.0, acts)[0]
-    for z in (0.0, 760.0, -760.0):
-        exact, strategy = exact_state_dp(tree, u, z, acts)
-        bf = brute_force_solve(tree, u, z, grid)
-        hd = history_dp(tree, u, z, grid)
-        for s in (strategy, bf.strategy, hd.strategy):
-            assert s.trade_at(0) == 0.17
-        assert bf.value.hex() == hd.value.hex()
-        assert bf.strategy.values == hd.strategy.values
-        assert exact == pytest.approx(bf.value, rel=1e-12)
-        with np.errstate(over="ignore", under="ignore"):
-            want = at_zero if z == 0.0 else float(_kernels.cara_scale(at_zero, z, u.alpha))
-        assert exact.hex() == want.hex()
-    assert exact_state_dp(tree, u, 760.0, acts)[0] == 0.0
-    assert exact_state_dp(tree, u, -760.0, acts)[0] == -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_zero = exact_state_dp(tree, u, 0.0, acts)[0]
+        for z in (0.0, 760.0, -760.0):
+            exact, strategy = exact_state_dp(tree, u, z, acts)
+            bf = brute_force_solve(tree, u, z, grid)
+            hd = history_dp(tree, u, z, grid)
+            for s in (strategy, bf.strategy, hd.strategy):
+                assert s.trade_at(0) == 0.17
+            assert bf.value.hex() == hd.value.hex()
+            assert bf.strategy.values == hd.strategy.values
+            assert exact == pytest.approx(bf.value, rel=1e-12)
+            with np.errstate(over="ignore", under="ignore"):
+                want = at_zero if z == 0.0 else float(_kernels.cara_scale(at_zero, z, u.alpha))
+            assert exact.hex() == want.hex()
+        assert exact_state_dp(tree, u, 760.0, acts)[0] == 0.0
+        assert exact_state_dp(tree, u, -760.0, acts)[0] == -math.inf
 
 
 @pytest.mark.parametrize("name, T", [("binomial", 3), ("binomial", 4), ("binomial", 5), ("notconvex", 3)])
