@@ -46,13 +46,6 @@ def _add_source(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--tree", metavar="PATH", help="scenario tree JSON file")
     g.add_argument("--gen", choices=PRESET_NAMES, help="generate a built-in tree")
-    p.add_argument(
-        "--seed",
-        type=int,
-        metavar="INT",
-        help="seed recorded on a generated tree (built-in generators are "
-        "deterministic; the seed is echoed in the report)",
-    )
 
 
 def _add_common(p: argparse.ArgumentParser, z: bool = True) -> None:
@@ -102,22 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-tree", help="write a built-in scenario tree as JSON")
     p.add_argument("--gen", choices=PRESET_NAMES, required=True)
-    p.add_argument("--seed", type=int, metavar="INT")
     p.add_argument("--out", metavar="PATH")
 
     return parser
 
 
 def _load_tree(args) -> tuple[ScenarioTree, dict]:
-    seed = getattr(args, "seed", None)
     if args.tree is not None:
-        if seed is not None:
-            raise ValueError("--seed only applies to generated trees (--gen)")
         return ScenarioTree.load(args.tree), {"tree": args.tree}
-    source = {"gen": args.gen}
-    if seed is not None:
-        source["seed"] = seed
-    return generate(preset(args.gen, seed=seed)), source
+    return generate(preset(args.gen)), {"gen": args.gen}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -257,7 +243,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen_tree(args) -> int:
-    tree = generate(preset(args.gen, seed=args.seed))
+    tree = generate(preset(args.gen))
     _emit(tree.to_json(), args.out)
     return 0
 

@@ -2,11 +2,13 @@
 
 Two independent computations of the same maximum: ``brute_force_solve``
 enumerates every strategy on a finite action grid and keeps the best, while
-``history_dp`` maximizes node by node over trade histories.  Both run their
-arithmetic through the shared evaluation walk in :mod:`.solver`, and expected
-value is monotone in each subtree value, so the two results are equal to the
-last bit, not merely to a tolerance.  That identity is the ground truth the
-grid solver is tested against.
+``history_dp`` maximizes node by node over trade histories.  Both are
+subclasses of the evaluation walk ``solver._Walk`` that override only its
+``decide`` step, so they run the same arithmetic, and expected value is
+monotone in each subtree value, so the two results are equal to the last bit,
+not merely to a tolerance.  Both scan trades in ``solver._tie_key`` order and
+keep the first maximum, so they also break ties alike.  That identity is the
+ground truth the grid solver is tested against.
 
 Enumeration does not replay the whole tree for every candidate.  Below the
 root, a subtree's value is a function of its node, the trade history above it
@@ -23,12 +25,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .dynamics import closing_trade
-from .solver import _cara_shift, _child_sum, _node_value, _run_z, _tie_key
+from .solver import _cara_shift, _Replay, _run_z, _tie_key, _Walk
 from .tree import PredictableAssignment, ScenarioTree
 from .utility import UtilitySpec
 
@@ -108,22 +110,25 @@ def _closure_values(chains: list[tuple[int, tuple[int, ...]]], decided: dict[int
 
 def _combos(tree: ScenarioTree, grid: ActionGrid, cap: int):
     """The free-choice node ids and an iterator over every tuple of their
-    trades, in ``itertools.product`` order; raises ``CapacityError`` if there
-    are more than ``cap`` tuples."""
+    trades, in ``itertools.product`` order over the grid sorted by
+    ``_tie_key``, so the tuples' key sequences increase; raises
+    ``CapacityError`` if there are more than ``cap`` tuples."""
     ids = tree.decision_ids()
     count = len(grid) ** len(ids)
     if count > cap:
         raise CapacityError(
             f"{len(grid)}^{len(ids)} = {count} strategies exceeds the cap of {cap}"
         )
-    return ids, itertools.product(grid.values, repeat=len(ids))
+    return ids, itertools.product(sorted(grid.values, key=_tie_key), repeat=len(ids))
 
 
 def enumerate_strategies(tree: ScenarioTree, grid: ActionGrid, cap: int = DEFAULT_CAP):
     """Yield every liquidating strategy with free trades drawn from ``grid``.
 
-    The count is ``len(grid) ** n`` over the ``n`` free-choice nodes; a count
-    beyond ``cap`` raises ``CapacityError`` before any work is done.
+    Strategies come in lexicographic order of their (|h|, sign) key sequences
+    over the free-choice nodes in id order, doing nothing first.  The count
+    is ``len(grid) ** n`` over the ``n`` free-choice nodes; a count beyond
+    ``cap`` raises ``CapacityError`` before any work is done.
     """
     ids, combos = _combos(tree, grid, cap)
     chains = _closing_chains(tree)
@@ -131,9 +136,10 @@ def enumerate_strategies(tree: ScenarioTree, grid: ActionGrid, cap: int = DEFAUL
         yield PredictableAssignment(_closure_values(chains, dict(zip(ids, combo))))
 
 
-class _Reuse(NamedTuple):
-    """The ``decide`` step of brute force: ``solver._Replay`` over one
-    candidate's free trades, remembering the subtree values it computes.
+class _Reuse(_Replay):
+    """The walk of brute force: one ``_Replay`` for all candidates, whose
+    ``trades`` are set to each candidate's free trades in turn, and which
+    remembers the subtree values it computes.
 
     ``subtree`` maps a node whose key can recur to a getter of the trades at
     the decision nodes of its subtree; the key is (node id, trade history,
@@ -141,38 +147,35 @@ class _Reuse(NamedTuple):
     nor below the node, so the root and the nodes of a chain are not kept.
     """
 
-    tree: ScenarioTree
-    trades: Mapping[int, float]
-    subtree: Mapping[int, Callable]
-    memo: dict
-    u: UtilitySpec
-    z: float
+    def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float, subtree: Mapping[int, Callable]) -> None:
+        super().__init__(tree, u, z, {})
+        self.subtree = subtree
+        self.memo: dict[tuple, float] = {}
 
-    def __call__(self, node, rsums, deltas, hs, wealth) -> float:
-        h = self.trades[node.id]
+    def decide(self, node, rsums, deltas, hs, wealth):
         get = self.subtree.get(node.id)
         if get is None:
-            return _child_sum(self.tree, node, rsums, deltas, hs, wealth, h, self.u, self.z, self)
+            return _Replay.decide(self, node, rsums, deltas, hs, wealth)
         key = (node.id, hs, get(self.trades))
         v = self.memo.get(key)
         if v is None:
-            v = self.memo[key] = _child_sum(self.tree, node, rsums, deltas, hs, wealth, h, self.u, self.z, self)
+            v = self.memo[key] = _Replay.decide(self, node, rsums, deltas, hs, wealth)
         return v
 
 
 def _scores(tree: ScenarioTree, grid: ActionGrid, u: UtilitySpec, z: float, cap: int):
     """Yield each candidate's free trades, by node id in id order, with its
     value at endowment ``z``: the float ``solver._replay`` gives the
-    candidate's strategy.  Candidates come in ``itertools.product`` order."""
+    candidate's strategy.  Candidates come in ``_combos`` order."""
     ids, combos = _combos(tree, grid, cap)
     chains = {i: [a.id for a in tree.parent_chain(i)] for i in ids}
     below = {i: [d for d in ids if i in chains[d]] for i in ids}
     # a key recurs when ancestors and subtree leave out some decision node
     subtree = {i: itemgetter(*below[i]) for i in ids if len(chains[i]) - 1 + len(below[i]) < len(ids)}
-    memo: dict[tuple, float] = {}
+    walk = _Reuse(tree, u, z, subtree)
     for combo in combos:
-        decide = _Reuse(tree, dict(zip(ids, combo)), subtree, memo, u, z)
-        yield decide.trades, _node_value(tree, tree.root, (0.0,), (), (), 0.0, u, z, decide)
+        walk.trades = dict(zip(ids, combo))
+        yield walk.trades, walk.root_value()
 
 
 def brute_force_solve(
@@ -182,9 +185,10 @@ def brute_force_solve(
 
     Ties in value break toward the assignment whose (|h|, sign) key sequence
     over free-choice nodes in id order is lexicographically smallest, i.e.
-    small trades first, then selling before buying.  Under exponential
-    utility the candidates are scored at z = 0 and the best value is scaled
-    by exp(-alpha * z), as in the grid solver.
+    small trades first, then selling before buying: candidates come in that
+    order and the first maximum is kept.  Under exponential utility the
+    candidates are scored at z = 0 and the best value is scaled by
+    exp(-alpha * z), as in the grid solver.
 
     Each subtree value below the root is computed once per (node, trade
     history, trades inside the subtree) and reused by the later candidates
@@ -192,22 +196,40 @@ def brute_force_solve(
     wealth, so the reused float is the one a full replay of the candidate
     would compute again, and every score is that replay's, bit for bit.
     """
-    z_run = _run_z(u, z)
     best_v = -math.inf
     best: dict[int, float] | None = None
     n = 0
     with np.errstate(over="ignore"):
-        for trades, v in _scores(tree, grid, u, z_run, cap):
+        for trades, v in _scores(tree, grid, u, _run_z(u, z), cap):
             n += 1
-            if best is None or v > best_v or (v == best_v and _tie_keys(trades) < _tie_keys(best)):
+            if best is None or v > best_v:
                 best_v = v
                 best = trades
     strategy = PredictableAssignment(_closure_values(_closing_chains(tree), best))
     return OracleResult(value=_cara_shift(u, best_v, z), strategy=strategy, candidates=n)
 
 
-def _tie_keys(trades: dict[int, float]) -> tuple:
-    return tuple(_tie_key(h) for h in trades.values())
+class _Search(_Walk):
+    """The walk of ``history_dp``: each free-choice node takes the first
+    maximum over the grid in ``_tie_key`` order, given the trades made so
+    far, and records it in ``choice`` under (node id, trade history)."""
+
+    def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float, grid: ActionGrid) -> None:
+        super().__init__(tree, u, z)
+        self.order = sorted(grid.values, key=_tie_key)
+        self.choice: dict[tuple, float] = {}
+        self.evaluations = 0
+
+    def decide(self, node, rsums, deltas, hs, wealth):
+        # 0.0 comes first, so it stands when no trade beats -inf
+        best_v, best_h = -math.inf, 0.0
+        for h in self.order:
+            v = self.child_sum(node, rsums, deltas, hs, wealth, h)
+            if v > best_v:
+                best_v, best_h = v, h
+        self.evaluations += len(self.order)
+        self.choice[(node.id, hs)] = best_h
+        return best_v
 
 
 def history_dp(
@@ -222,43 +244,15 @@ def history_dp(
     matches ``brute_force_solve`` bit for bit, also under exponential utility,
     where both run at z = 0 and scale the value the same way.
     """
-    z_run = _run_z(u, z)
-    choice: dict[tuple, float] = {}
-    evaluations = 0
-
-    def decide(node, rsums, deltas, hs, wealth):
-        nonlocal evaluations
-        best_v = -math.inf
-        best_h = 0.0
-        best_key = (math.inf, 2)
-        for h in grid.values:
-            evaluations += 1
-            v = _child_sum(tree, node, rsums, deltas, hs, wealth, h, u, z_run, decide)
-            key = _tie_key(h)
-            if v > best_v or (v == best_v and key < best_key):
-                best_v = v
-                best_h = h
-                best_key = key
-        choice[(node.id, hs)] = best_h
-        return best_v
-
+    walk = _Search(tree, u, _run_z(u, z), grid)
     with np.errstate(over="ignore"):
-        value = _node_value(tree, tree.root, (0.0,), (), (), 0.0, u, z_run, decide)
-
-    # a child's decide runs once per parent candidate, so choices are keyed by
-    # history; replay the argmax path to read off the strategy
+        value = walk.root_value()
+    # a child decides once per parent candidate, so choices are keyed by
+    # history; read the argmax path off them, parents first
     chosen: dict[int, float] = {}
-
-    def extract(node, hs):
-        if node.t == tree.T:
-            return
-        h = closing_trade(hs) if node.t == tree.T - 1 else choice[(node.id, hs)]
-        chosen[node.id] = h
-        for child in tree.children(node.id):
-            extract(child, hs + (h,))
-
-    extract(tree.root, ())
-    # decide and extract reach themselves through their closure cells; emptying
-    # the cells breaks those cycles, so the tables go with this frame
-    del decide, extract
-    return OracleResult(value=_cara_shift(u, value, z), strategy=PredictableAssignment(chosen), candidates=evaluations)
+    for t in range(tree.T - 1):
+        for node in tree.nodes_at(t):
+            hs = tuple(chosen[a.id] for a in tree.parent_chain(node.id)[:-1])
+            chosen[node.id] = walk.choice[(node.id, hs)]
+    strategy = PredictableAssignment(_closure_values(_closing_chains(tree), chosen))
+    return OracleResult(value=_cara_shift(u, value, z), strategy=strategy, candidates=walk.evaluations)

@@ -38,11 +38,14 @@ computes one grid per distinct signature at dates 1..T-2 and lets the nodes
 that share a signature share its read-only arrays, so a recombining lattice or
 an iid tree sweeps each distinct subtree once.
 
-``evaluate_strategy`` walks the tree with the explicit cash-innovation form
-and is the single evaluation path shared with the exhaustive oracles, which is
-what makes oracle cross-checks exact rather than approximate: brute force
-scores every candidate through the same walk, unchecked, with a ``decide``
-step that reuses the subtree values it has already computed.
+``evaluate_strategy`` walks the tree with the explicit cash-innovation form.
+The walk, ``_Walk``, is the single evaluation path shared with the exhaustive
+oracles, which is what makes oracle cross-checks exact rather than
+approximate: ``evaluate_strategy``, brute force and ``history_dp`` differ only
+in ``decide``, the value of a decision node before date T-1.  ``_Replay``
+plays a fixed strategy, brute force replays every candidate that way,
+unchecked, reusing the subtree values it has already computed, and
+``history_dp`` maximizes over its grid.
 """
 
 from __future__ import annotations
@@ -438,74 +441,65 @@ def evaluate_strategy(
 
 def _replay(tree: ScenarioTree, assignment: PredictableAssignment, u: UtilitySpec, z: float) -> float:
     """``evaluate_strategy`` without its checks on the strategy."""
-    return _node_value(tree, tree.root, (0.0,), (), (), 0.0, u, z, _Replay(tree, assignment.values, u, z))
+    return _Replay(tree, u, z, assignment.values).root_value()
 
 
-class _Replay(NamedTuple):
-    """The ``decide`` step of a walk that plays a fixed strategy.
+class _Walk:
+    """The exact evaluation walk over trade histories.
 
-    An object rather than a closure: a closure that passes itself on refers to
-    itself, a cycle that only the cyclic collector frees.
+    Wealth is accumulated child by child with the explicit cash-innovation
+    form, leaves score terminal utility at endowment ``z``, the position is
+    closed at date T-1, and ``decide`` gives the value of a node before T-1:
+    the one thing a subclass says.  A walk holds no reference to itself, so
+    whatever tables a subclass fills go with it, also when the walk raises.
     """
 
-    tree: ScenarioTree
-    trades: Mapping[int, float]
-    u: UtilitySpec
-    z: float
+    def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float) -> None:
+        self.tree, self.u, self.z = tree, u, z
 
-    def __call__(self, node, rsums, deltas, hs, wealth) -> float:
-        h = float(self.trades[node.id])
-        return _child_sum(self.tree, node, rsums, deltas, hs, wealth, h, self.u, self.z, self)
+    def root_value(self) -> float:
+        return self.node_value(self.tree.root, (0.0,), (), (), 0.0)
 
+    def node_value(self, node: TreeNode, rsums: tuple, deltas: tuple, hs: tuple, wealth: float) -> float:
+        if node.t == self.tree.T:
+            return float(self.u(self.z + wealth - node.B))
+        if node.t == self.tree.T - 1:
+            return self.child_sum(node, rsums, deltas, hs, wealth, closing_trade(hs))
+        return self.decide(node, rsums, deltas, hs, wealth)
 
-def _child_sum(
-    tree: ScenarioTree,
-    node: TreeNode,
-    rsums: tuple[float, ...],
-    deltas: tuple[float, ...],
-    hs: tuple[float, ...],
-    wealth: float,
-    h: float,
-    u: UtilitySpec,
-    z: float,
-    decide: Callable,
-) -> float:
-    """Expected value over the children of ``node`` after trading ``h``."""
-    rs = rsums + (rsums[-1] + float(node.r),)
-    hs = hs + (float(h),)
-    acc = 0.0
-    for child in tree.children(node.id):
-        ds = deltas + (float(child.delta),)
-        kap = _kappa_core(tree.zeta0, rs, ds, float(child.P), hs)
-        acc += child.p * _node_value(tree, child, rs, ds, hs, wealth + kap, u, z, decide)
-    return acc
+    def child_sum(self, node: TreeNode, rsums: tuple, deltas: tuple, hs: tuple, wealth: float, h: float) -> float:
+        """Expected value over the children of ``node`` after trading ``h``."""
+        tree = self.tree
+        rs = rsums + (rsums[-1] + float(node.r),)
+        hs = hs + (float(h),)
+        acc = 0.0
+        for child in tree.children(node.id):
+            ds = deltas + (float(child.delta),)
+            kap = _kappa_core(tree.zeta0, rs, ds, float(child.P), hs)
+            acc += child.p * self.node_value(child, rs, ds, hs, wealth + kap)
+        return acc
+
+    def decide(self, node: TreeNode, rsums: tuple, deltas: tuple, hs: tuple, wealth: float) -> float:
+        raise NotImplementedError
 
 
-def _node_value(
-    tree: ScenarioTree,
-    node: TreeNode,
-    rsums: tuple[float, ...],
-    deltas: tuple[float, ...],
-    hs: tuple[float, ...],
-    wealth: float,
-    u: UtilitySpec,
-    z: float,
-    decide: Callable,
-) -> float:
-    if node.t == tree.T:
-        return float(u(z + wealth - node.B))
-    if node.t == tree.T - 1:
-        h = closing_trade(hs)
-        return _child_sum(tree, node, rsums, deltas, hs, wealth, h, u, z, decide)
-    return decide(node, rsums, deltas, hs, wealth)
+class _Replay(_Walk):
+    """The walk that plays the fixed free trades ``trades``, by node id."""
+
+    def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float, trades: Mapping[int, float]) -> None:
+        super().__init__(tree, u, z)
+        self.trades = trades
+
+    def decide(self, node, rsums, deltas, hs, wealth):
+        return self.child_sum(node, rsums, deltas, hs, wealth, self.trades[node.id])
 
 
 def _tie_key(h: float) -> tuple[float, int]:
     """Order among trades of equal value: the smaller |h| first, then the sale.
 
-    The oracles take a candidate of equal value when its key is smaller.
-    ``exact_state_dp`` scans its actions sorted by this key, the grid sweeps
-    scan theirs as 0, -d, +d, -2d, +2d, ..., and both keep the first maximum.
+    The oracles and ``exact_state_dp`` scan their trades sorted by this key,
+    the grid sweeps scan theirs as 0, -d, +d, -2d, +2d, ..., and all keep the
+    first maximum.
     """
     return (abs(h), 1 if h > 0.0 else 0)
 

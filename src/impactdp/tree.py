@@ -391,8 +391,7 @@ class GeneratorSpec:
     ``resilience`` and ``depth`` accept either a scalar (constant schedule) or
     per-step sequences (length T; depth applies to dates 1..T).  Lattice kinds
     start the midprice at ``p0``; ``prices`` pins the whole midprice path for
-    the deterministic kind.  ``seed`` is carried for config echo only, the
-    generators themselves are deterministic.
+    the deterministic kind.
     """
 
     kind: str
@@ -406,7 +405,6 @@ class GeneratorSpec:
     step: float = 1.0
     p_up: float = 0.5
     atoms: int = 3
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -434,8 +432,11 @@ def _branching(spec: GeneratorSpec) -> list[tuple[float, float]]:
     """Per-step (probability, move) pairs, in child order.
 
     A lattice move is the change in the net number of up-steps; a quantized
-    move is the atom drawn.
+    move is the atom drawn; the deterministic kind has one child, with the
+    pinned price.
     """
+    if spec.kind == "deterministic":
+        return [(1.0, 0.0)]
     if spec.kind == "binomial":
         return [(spec.p_up, 1), (1.0 - spec.p_up, -1)]
     if spec.kind == "trinomial":
@@ -468,15 +469,12 @@ def generate(spec: GeneratorSpec) -> ScenarioTree:
     frontier = [0]  # ids of the previous date's nodes
     ups = {0: 0}  # net up-steps of each lattice node, by id
     next_id = 1
+    moves = _branching(spec)
     for t in range(1, spec.T + 1):
         depth_t = float(d_sched[t - 1])
         r_t = float(r_sched[t]) if t <= spec.T - 1 else None
         new_frontier = []
         for pid in frontier:
-            if spec.kind == "deterministic":
-                moves = [(1.0, 0.0)]
-            else:
-                moves = _branching(spec)
             for prob, move in moves:
                 if spec.kind == "deterministic":
                     price = float(spec.prices[t])

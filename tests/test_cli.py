@@ -317,24 +317,6 @@ def test_non_finite_inputs_are_input_errors(capsys, argv):
     assert err.startswith("error:") and "finite" in err
 
 
-def test_seed_is_echoed_for_generated_trees(capsys):
-    code, payload, _ = run_json(capsys, "check", "--gen", "binomial", "--seed", "7")
-    assert code == 0
-    assert payload["source"] == {"gen": "binomial", "seed": 7}
-    code2, unseeded, _ = run_json(capsys, "check", "--gen", "binomial")
-    assert unseeded["source"] == {"gen": "binomial"}
-    # the built-in generators are deterministic: the seed changes nothing else
-    assert payload["monotone_depth"] == unseeded["monotone_depth"]
-
-
-def test_seed_rejected_with_a_tree_file(tmp_path, capsys):
-    tree_file = tmp_path / "tree.json"
-    assert main(["gen-tree", "--gen", "binomial", "--out", str(tree_file)]) == 0
-    capsys.readouterr()
-    code, _, err = run(capsys, "check", "--tree", str(tree_file), "--seed", "1")
-    assert code == 2 and "--gen" in err
-
-
 def test_gen_tree_round_trips(tmp_path, capsys):
     code, out, _ = run(capsys, "gen-tree", "--gen", "zero-price")
     assert code == 0
@@ -365,12 +347,12 @@ def test_every_flag_is_read_by_its_subcommand(tmp_path, capsys):
     # included, so no flag is accepted and silently ignored
     out = str(tmp_path / "out")
     report = str(tmp_path / "report.json")
-    source = ("--gen", "binomial", "--seed", "3")
+    source = ("--gen", "binomial")
     runs = {
         "solve": source + ("--utility", "cap:cap=1", "--z", "0.25", "--out", report, "--grid-xi", "5",
                            "--grid-zeta", "4", "--grid-x", "5", "--actions", "5"),
         "evaluate": source + ("--utility", "cap:cap=1", "--z", "0.25", "--out", out, "--strategy", report),
-        "oracle": ("--gen", "det-example", "--seed", "1", "--utility", "exp:alpha=1.0", "--z", "0.5",
+        "oracle": ("--gen", "det-example", "--utility", "exp:alpha=1.0", "--z", "0.5",
                    "--out", out, "--oracle-grid=-1,0,1"),
         "check": source + ("--utility", "cap:cap=5", "--out", out),
         "demo": ("indirect-utility", "--format", "csv", "--out", out),
@@ -395,6 +377,11 @@ def test_every_flag_is_read_by_its_subcommand(tmp_path, capsys):
         ("solve", "--gen", "binomial", "--k0", "1"),
         ("solve", "--gen", "binomial", "--k-factor", "2"),
         ("check", "--gen", "binomial", "--z", "1"),
+        ("check", "--gen", "binomial", "--seed", "7"),
+        ("solve", "--gen", "det-example", "--seed", "1"),
+        ("oracle", "--gen", "det-example", "--seed", "1"),
+        ("evaluate", "--gen", "det-example", "--strategy", "unread.json", "--seed", "1"),
+        ("gen-tree", "--gen", "binomial", "--seed", "99"),
     ],
 )
 def test_removed_flags_are_usage_errors(capsys, argv):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import impactdp.oracle as oracle
+import impactdp.solver as solver_module
 from impactdp.oracle import (
     ActionGrid,
     CapacityError,
@@ -178,13 +179,13 @@ def test_each_subtree_value_is_computed_at_most_once(monkeypatch):
     ids = tree.decision_ids()
     inside = {i: [d for d in ids if i in {a.id for a in tree.parent_chain(d)}] for i in ids}
     keys = Counter()
-    real = oracle._child_sum
+    real = oracle._Replay.decide
 
-    def counted(tree_, node, rsums, deltas, hs, wealth, h, u, z, decide):
-        keys[(node.id, hs, tuple(decide.trades[i] for i in inside[node.id]))] += 1
-        return real(tree_, node, rsums, deltas, hs, wealth, h, u, z, decide)
+    def counted(walk, node, rsums, deltas, hs, wealth):
+        keys[(node.id, hs, tuple(walk.trades[i] for i in inside[node.id]))] += 1
+        return real(walk, node, rsums, deltas, hs, wealth)
 
-    monkeypatch.setattr(oracle, "_child_sum", counted)
+    monkeypatch.setattr(oracle._Replay, "decide", counted)
     grid = ActionGrid((-1.0, 0.0, 1.0))
     res = brute_force_solve(tree, capped_linear(1.0), 0.0, grid)
     assert res.candidates == 3 ** len(ids) == 2187
@@ -208,4 +209,37 @@ def test_brute_force_leaves_no_cycles():
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+    assert garbage == 0
+
+
+@pytest.mark.parametrize("solver", [brute_force_solve, history_dp])
+def test_an_oracle_that_raises_leaves_no_cycles(monkeypatch, solver):
+    # the walk fails part way, with the oracle's tables half filled; they
+    # must go with the exception, not wait for the cycle collector
+    real = solver_module._kappa_core
+    calls = Counter()
+
+    def failing(*args):
+        calls["kappa"] += 1
+        if calls["kappa"] == 40:
+            raise RuntimeError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(solver_module, "_kappa_core", failing)
+    tree = generate(preset("binomial"))
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        try:
+            solver(tree, capped_linear(1.0), 0.0, ActionGrid((-1.0, 0.0, 1.0)))
+        except RuntimeError:
+            pass
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert calls["kappa"] == 40
     assert garbage == 0

@@ -542,10 +542,10 @@ def test_exact_state_dp_agrees_with_history_indexed_oracle():
 
 
 def test_recursions_leave_no_filled_tables_to_the_cycle_collector():
-    # history_dp's nested recursive functions reach themselves through closure
-    # cells, which it empties on return, and exact_state_dp's and
-    # forward_extract's nested functions do not refer to themselves: neither
-    # their tables nor anything else is left for the next cyclic collection
+    # history_dp's tables live on a walk object that holds no reference to
+    # itself, and exact_state_dp's and forward_extract's nested functions do
+    # not refer to themselves: neither their tables nor anything else is left
+    # for the next cyclic collection
     tree = generate(preset("binomial"))
     u = exponential(1.0)
     grid = ActionGrid((-1.0, 0.0, 1.0))
@@ -569,8 +569,8 @@ def test_recursions_leave_no_filled_tables_to_the_cycle_collector():
 
 
 def test_strategy_replays_leave_no_cycles():
-    # the replay's decide step is an object, not a closure that names itself,
-    # so scoring strategies leaves nothing to the cycle collector
+    # the replay is a walk object, not a closure that names itself, so
+    # scoring strategies leaves nothing to the cycle collector
     tree = generate(preset("binomial"))
     u = exponential(1.0)
     gc.collect()
@@ -672,6 +672,9 @@ def test_exact_state_dp_matches_history_dp_whatever_the_action_order(tree, u, z,
     got = exact_state_dp(tree, u, z, acts)
     oracle = history_dp(tree, u, z, ActionGrid(tuple(acts)))
     assert got[0] == pytest.approx(oracle.value, rel=1e-12, abs=1e-12)
+    # both oracles keep the first maximum in (|h|, sign) order
+    brute = brute_force_solve(tree, u, z, ActionGrid(tuple(acts)))
+    assert _bits((brute.value, brute.strategy)) == _bits((oracle.value, oracle.strategy))
     # the tie-break orders actions by (|h|, sign), not by list position
     shuffled = data.draw(st.permutations(acts))
     at = data.draw(st.integers(0, len(acts)))
