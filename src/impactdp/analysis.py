@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import MarketPath, terminal_wealth_explicit
 from .solver import evaluate_strategy
-from .tree import PredictableAssignment, ScenarioTree
+from .tree import PredictableAssignment, ScenarioTree, generate, preset
 from .utility import UtilitySpec
 
 __all__ = [
@@ -74,32 +74,32 @@ class NonconvexityReport:
         }
 
 
-def _demo_path() -> MarketPath:
-    # depth 1 on the first date and 10 afterwards: early trades are expensive
-    # and their impact lingers, which is what breaks positive semidefiniteness
-    return MarketPath(T=3, zeta0=0.0, P=(0.0, 0.0, 0.0, 0.0), r=(0.0, 0.0, 0.0), delta=(1.0, 10.0, 10.0))
+_DEMO_POINTS = ((1.0, 1.0), (1.5, 0.0))
 
 
-def _demo_cost(path: MarketPath, free: tuple[float, float]) -> float:
-    h1, h2 = free
-    return friction_quadratic(path, (h1, h2, -(h1 + h2)))
+def _schedule_cost(path: MarketPath, free: tuple[float, ...]) -> float:
+    """Friction cost of the free trades followed by the closing trade."""
+    return friction_quadratic(path, free + (-math.fsum(free),))
 
 
 def nonconvexity_demo(
-    point_a: tuple[float, float] = (1.0, 1.0),
-    point_b: tuple[float, float] = (1.5, 0.0),
+    point_a: tuple[float, float] = _DEMO_POINTS[0],
+    point_b: tuple[float, float] = _DEMO_POINTS[1],
 ) -> NonconvexityReport:
     """Two liquidating schedules whose midpoint costs more than their average.
 
     Schedules are given by the two free trades; the third trade closes the
     position.  With the default points the costs are 4.7 and 4.725 but the
     midpoint schedule costs 4.79375, a margin of 0.08125 above the average.
+    The market is the first path of ``notconvex``: depth 1, then 10, makes
+    early trades dear and their impact linger, breaking semidefiniteness.
     """
-    path = _demo_path()
+    tree = generate(preset("notconvex"))
+    path = tree.extract_path(tree.leaves()[0].id).path
     mid = ((point_a[0] + point_b[0]) / 2.0, (point_a[1] + point_b[1]) / 2.0)
-    cost_a = _demo_cost(path, point_a)
-    cost_b = _demo_cost(path, point_b)
-    cost_mid = _demo_cost(path, mid)
+    cost_a = _schedule_cost(path, point_a)
+    cost_b = _schedule_cost(path, point_b)
+    cost_mid = _schedule_cost(path, mid)
     average = (cost_a + cost_b) / 2.0
     return NonconvexityReport(
         point_a=point_a,
@@ -217,9 +217,9 @@ def convexity_probe(
     """Search for a midpoint-convexity violation of the friction cost.
 
     Probes the quadratic friction cost along one market path of the tree
-    (prices zeroed).  Checks random pairs of liquidating schedules, plus one
-    hand-picked pair known to violate convexity on three-date trees, and
-    reports the first witness with margin above ``PROBE_TOL``.
+    (prices zeroed).  Checks random pairs of liquidating schedules, plus on
+    three-date trees the pair of ``nonconvexity_demo``, and reports the first
+    witness with margin above ``PROBE_TOL``.
     """
     leaf = tree.leaves()[0]
     path = tree.extract_path(leaf.id).path
@@ -229,20 +229,17 @@ def convexity_probe(
     rng = np.random.Generator(np.random.Philox(key=seed))
     pairs: list[tuple[tuple[float, ...], tuple[float, ...]]] = []
     if m == 2:
-        pairs.append(((1.0, 1.0), (1.5, 0.0)))
+        pairs.append(_DEMO_POINTS)
     while len(pairs) < samples:
         a = tuple(float(v) for v in rng.uniform(-2.0, 2.0, size=m))
         b = tuple(float(v) for v in rng.uniform(-2.0, 2.0, size=m))
         pairs.append((a, b))
 
-    def cost(free: tuple[float, ...]) -> float:
-        return friction_quadratic(path, free + (-math.fsum(free),))
-
     checked = 0
     for a, b in pairs:
         checked += 1
         mid = tuple((x + y) / 2.0 for x, y in zip(a, b))
-        margin = cost(mid) - (cost(a) + cost(b)) / 2.0
+        margin = _schedule_cost(path, mid) - (_schedule_cost(path, a) + _schedule_cost(path, b)) / 2.0
         if margin > PROBE_TOL:
             return ConvexityProbeReport(True, a, b, margin, checked)
     return ConvexityProbeReport(False, None, None, 0.0, checked)

@@ -6,8 +6,11 @@ timestamps, so identical inputs give byte-identical outputs.  Exit codes:
 0 success, 1 failed check or internal disagreement (for ``solve``: a root
 value the replayed strategy does not certify, ``value_gap_ok`` false, or a
 value layer that decreases along the cash axis, ``monotonicity_violations``
-above 0, reported in full all the same), 2 invalid input, 3 numeric failure,
-4 enumeration capacity exceeded.
+above 0, reported in full all the same; for ``oracle``: results that break
+``oracle.oracles_agree``; for ``check``: any failed check, ``tree-invalid``
+among them, which reports ``"monotone_depth": null``), 2 invalid input (for
+``solve``, ``oracle`` and ``evaluate`` also a tree that fails validation),
+3 numeric failure, 4 enumeration capacity exceeded.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import sys
 from typing import Sequence
 
 from .analysis import indirect_utility_demo, nonconvexity_demo
-from .oracle import ActionGrid, CapacityError, brute_force_solve, history_dp
+from .oracle import ActionGrid, CapacityError, brute_force_solve, history_dp, oracles_agree
 from .solver import SolveConfig, SolverNumericError, evaluate_strategy, solve
 from .tree import (
     PRESET_NAMES,
@@ -138,12 +141,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     tree, source = _load_tree(args)
+    tree.require_valid()
     u = parse_utility(args.utility)
     grid = ActionGrid.from_text(args.oracle_grid)
     bf = brute_force_solve(tree, u, args.z, grid)
     hd = history_dp(tree, u, args.z, grid)
-    # the two must agree to the bit, in the value and in every trade
-    identical = _bits(bf) == _bits(hd)
+    agree = oracles_agree(tree, u, args.z, bf, hd)
     payload = {
         "command": "oracle",
         "source": source,
@@ -154,22 +157,18 @@ def _cmd_oracle(args) -> int:
         "strategy": bf.strategy.to_report(),
         "enumerated": bf.candidates,
         "recursion_evaluations": hd.candidates,
-        "methods_identical": identical,
+        "methods_agree": agree,
     }
     _emit_json(payload, args.out)
-    if not identical:
+    if not agree:
         print("enumeration and recursion disagree in value or strategy; this is a bug", file=sys.stderr)
         return 1
     return 0
 
 
-def _bits(result) -> tuple[str, dict[int, str]]:
-    """An oracle result's value and trades as the hex of their floats."""
-    return float(result.value).hex(), {node: float(h).hex() for node, h in result.strategy.values.items()}
-
-
 def _cmd_evaluate(args) -> int:
     tree, source = _load_tree(args)
+    tree.require_valid()
     u = parse_utility(args.utility)
     with open(args.strategy, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -209,17 +208,17 @@ def _cmd_check(args) -> int:
     tree, source = _load_tree(args)
     failures: list[str] = []
     validation = tree.validate()
-    if not validation.ok:
+    depth = monotone_depth_check(tree) if validation.ok else None
+    if depth is None:
         failures.append("tree-invalid")
-    depth = monotone_depth_check(tree)
-    if not depth.holds:
+    elif not depth.holds:
         failures.append("monotone-condition")
     payload = {
         "command": "check",
         "source": source,
         "valid": validation.ok,
         "violations": list(validation.violations),
-        "monotone_depth": {
+        "monotone_depth": None if depth is None else {
             "holds": depth.holds,
             "violations": [[int(a), int(b)] for a, b in depth.violations],
         },

@@ -57,9 +57,8 @@ class MarketPath:
     holds the book depth met by the trades at dates 1..T (``delta[0]`` is the
     depth at date 1; there is no depth at date 0 because nothing trades there).
     ``P[0]`` is carried for path fidelity only; no wealth formula reads it.
-
-    ``delta_min`` is the positive depth floor the path must respect; it
-    defaults to the smallest depth present.
+    Every entry must be finite, ``r`` nonnegative and ``delta`` positive; each
+    depth is checked on its own, with no floor below them.
     """
 
     T: int
@@ -67,7 +66,6 @@ class MarketPath:
     P: np.ndarray
     r: np.ndarray
     delta: np.ndarray
-    delta_min: float | None = None
     _rsums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -84,15 +82,13 @@ class MarketPath:
             raise ValueError(f"delta must have T={self.T} entries, got {delta.shape[0]}")
         if np.any(r < 0.0):
             raise ValueError("resilience r must be nonnegative")
-        floor = float(np.min(delta)) if self.delta_min is None else float(self.delta_min)
-        if floor <= 0.0 or np.any(delta < floor):
-            raise ValueError("depth delta must stay above a positive floor")
+        if np.any(delta <= 0.0):
+            raise ValueError("depth delta must be positive")
         if not (math.isfinite(self.zeta0) and self.zeta0 >= 0.0):
             raise ValueError(f"initial half-spread zeta0 must be finite and nonnegative, got {self.zeta0!r}")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "delta_min", floor)
         # prefix sums of r: rsums[k] = r_0 + ... + r_{k-1}, built by left fold
         # so tree walks can reproduce the identical floats incrementally
         rsums = np.empty(self.T + 1, dtype=np.float64)

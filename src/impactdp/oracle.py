@@ -5,10 +5,10 @@ enumerates every strategy on a finite action grid and keeps the best, while
 ``history_dp`` maximizes node by node over trade histories.  Both are
 subclasses of the evaluation walk ``solver._Walk`` that override only its
 ``decide`` step, so they run the same arithmetic, and expected value is
-monotone in each subtree value, so the two results are equal to the last bit,
-not merely to a tolerance.  Both scan trades in ``solver._tie_key`` order and
-keep the first maximum, so they also break ties alike.  That identity is the
-ground truth the grid solver is tested against.
+monotone in each subtree value, so the two values are equal to the last bit:
+the ground truth the grid solver is tested against.  Both keep the first
+maximum in ``solver._tie_key`` order, but of the root's float (brute force) or
+each subtree's (``history_dp``), so their strategies can differ.
 
 Enumeration does not replay the whole tree for every candidate.  Below the
 root, a subtree's value is a function of its node, the trade history above it
@@ -30,7 +30,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dynamics import closing_trade
-from .solver import _cara_shift, _Replay, _run_z, _tie_key, _Walk
+from .solver import _cara_shift, _Replay, _run_z, _tie_key, _Walk, evaluate_strategy
 from .tree import PredictableAssignment, ScenarioTree
 from .utility import UtilitySpec
 
@@ -41,6 +41,7 @@ __all__ = [
     "enumerate_strategies",
     "brute_force_solve",
     "history_dp",
+    "oracles_agree",
 ]
 
 DEFAULT_CAP = 10_000_000
@@ -238,11 +239,11 @@ def history_dp(
     """Best strategy by backward recursion over trade histories.
 
     Each free-choice node maximizes the conditional expected value over the
-    grid given the exact trades made so far, with the same (|h|, sign)
-    tie-break as enumeration.  Expected value is monotone in every subtree
-    value and all arithmetic is shared with enumeration, so the returned value
-    matches ``brute_force_solve`` bit for bit, also under exponential utility,
-    where both run at z = 0 and scale the value the same way.
+    grid given the exact trades made so far, keeping its first maximum in the
+    (|h|, sign) order of enumeration.  Expected value is monotone in every
+    subtree value and all arithmetic is shared with enumeration, so the
+    returned value (not the strategy) matches ``brute_force_solve`` bit for
+    bit, also under exponential utility, where both run at z = 0.
     """
     walk = _Search(tree, u, _run_z(u, z), grid)
     with np.errstate(over="ignore"):
@@ -256,3 +257,13 @@ def history_dp(
             chosen[node.id] = walk.choice[(node.id, hs)]
     strategy = PredictableAssignment(_closure_values(_closing_chains(tree), chosen))
     return OracleResult(value=_cara_shift(u, value, z), strategy=strategy, candidates=walk.evaluations)
+
+
+def oracles_agree(tree: ScenarioTree, u: UtilitySpec, z: float, brute: OracleResult, dp: OracleResult) -> bool:
+    """What ``brute_force_solve`` and ``history_dp`` on one grid guarantee:
+    equal values, bit for bit, to which each strategy replays exactly through
+    ``evaluate_strategy``, and brute force's (|h|, sign) key sequence over the
+    decision nodes at most ``history_dp``'s.  The strategies may differ."""
+    replays = [_cara_shift(u, evaluate_strategy(tree, r.strategy, u, _run_z(u, z)), z) for r in (brute, dp)]
+    keys = [[_tie_key(r.strategy.trade_at(i)) for i in tree.decision_ids()] for r in (brute, dp)]
+    return len({float(v).hex() for v in (brute.value, dp.value, *replays)}) == 1 and keys[0] <= keys[1]

@@ -146,8 +146,9 @@ class SolveConfig:
             raise ValueError("value_tol must be finite and nonnegative")
 
     def resolve_axes(self, tree: ScenarioTree, u: UtilitySpec | None = None) -> GridAxes:
-        """Grid axes for ``tree``: the auto position axis is +-T, and the cash
-        axis is the single point 0.0 when ``u`` is exponential."""
+        """Grid axes for ``tree``: the auto position axis is +-T, the auto
+        spread axis ends at zeta0 + 2 * T**2 over the tree's smallest depth,
+        and the cash axis is the single point 0.0 when ``u`` is exponential."""
         T = tree.T
         x_max = float(T)
         if self.x_bounds is None:
@@ -155,7 +156,8 @@ class SolveConfig:
         else:
             x_axis = np.linspace(self.x_bounds[0], self.x_bounds[1], self.x_count)
         if self.zeta_bounds is None:
-            zeta_hi = tree.zeta0 + 2.0 * x_max * T / tree.delta_min
+            depth_min = min(n.delta for n in map(tree.node, tree.node_ids()) if n.delta is not None)
+            zeta_hi = tree.zeta0 + 2.0 * x_max * T / float(depth_min)
             zeta_axis = np.linspace(0.0, zeta_hi, self.zeta_count)
         else:
             zeta_hi = self.zeta_bounds[1]
@@ -596,9 +598,7 @@ def solve(
     underflows the scaled values leaves the certificate as it is.
     """
     config = config or SolveConfig()
-    report = tree.validate()
-    if not report.ok:
-        raise ValueError("invalid tree: " + "; ".join(report.violations))
+    tree.require_valid()
     z_run = _run_z(u, z)
     vf = backward_induce(tree, u, z, config)
     assignment, root_step, extract_diag = forward_extract(tree, vf, u, z_run, config)

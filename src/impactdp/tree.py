@@ -97,7 +97,7 @@ class ScenarioTree:
     ``validate`` so broken inputs can be diagnosed rather than bounced.
     """
 
-    def __init__(self, T: int, zeta0: float, nodes: Iterable[TreeNode], delta_min: float | None = None):
+    def __init__(self, T: int, zeta0: float, nodes: Iterable[TreeNode]):
         self.T = int(T)
         self.zeta0 = float(zeta0)
         self._nodes: dict[int, TreeNode] = {}
@@ -123,13 +123,6 @@ class ScenarioTree:
         self.root_id = root
         for ids in self._children.values():
             ids.sort()
-        deltas = [n.delta for n in self._nodes.values() if n.delta is not None]
-        if delta_min is not None:
-            self.delta_min = float(delta_min)
-        elif deltas:
-            self.delta_min = float(min(deltas))
-        else:
-            self.delta_min = 0.0
 
     # -- indexing ---------------------------------------------------------
 
@@ -170,13 +163,12 @@ class ScenarioTree:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """Every rule the tree breaks, by node; each depth must be finite and positive."""
         v: list[str] = []
         if self.T < 2:
             v.append(f"horizon T must be at least 2, got {self.T}")
         if not 0.0 <= self.zeta0 < math.inf:
             v.append(f"initial half-spread zeta0 must be finite and nonnegative, got {self.zeta0}")
-        if self.delta_min <= 0.0:
-            v.append(f"depth floor delta_min must be positive, got {self.delta_min}")
         root = self.root
         if root.t != 0:
             v.append(f"root node {root.id} must sit at date 0, got t={root.t}")
@@ -211,10 +203,8 @@ class ScenarioTree:
                 v.append(f"node {nid} resilience r={node.r} is negative")
             if node.t >= 1 and node.delta is None:
                 v.append(f"node {nid} at date {node.t} is missing depth delta")
-            if node.delta is not None and not node.delta >= self.delta_min:
-                v.append(
-                    f"node {nid} depth delta={node.delta} below the positive floor {self.delta_min}"
-                )
+            if node.delta is not None and not 0.0 < node.delta < math.inf:
+                v.append(f"node {nid} depth delta={node.delta} is not finite and positive")
             if node.t == self.T and node.B is None:
                 v.append(f"leaf {nid} is missing the endowment B")
             for name in ("P", "r", "B"):
@@ -222,6 +212,12 @@ class ScenarioTree:
                 if value is not None and not math.isfinite(value):
                     v.append(f"node {nid} {name}={value} is not finite")
         return ValidationReport(tuple(v))
+
+    def require_valid(self) -> None:
+        """Raise ``ValueError`` listing every violation ``validate`` finds."""
+        report = self.validate()
+        if not report.ok:
+            raise ValueError("invalid tree: " + "; ".join(report.violations))
 
     # -- paths ------------------------------------------------------------
 
@@ -255,7 +251,6 @@ class ScenarioTree:
             P=P,
             r=np.array(r, dtype=np.float64),
             delta=np.array(delta, dtype=np.float64),
-            delta_min=self.delta_min,
         )
         return PathData(path, float(leaf.B), prob)
 

@@ -1,4 +1,4 @@
-"""Shared test plumbing: the acceptance result registry.
+"""Shared test plumbing: the acceptance result registry and shared trees.
 
 Acceptance tests record one verdict per numbered criterion through the
 ``acceptance`` fixture; a terminal-summary hook prints one PASS/FAIL line per
@@ -10,6 +10,27 @@ failed (not run).
 from __future__ import annotations
 
 import pytest
+
+from impactdp.tree import ScenarioTree, TreeNode
+
+
+@pytest.fixture
+def absorbed_gain_tree() -> ScenarioTree:
+    """A T = 3 tree on which the two oracles pick different strategies.
+
+    Three equally likely chains; under ``cap:cap=0`` on the grid {-1, 0} at
+    z = 0, selling 1 at node 1 and buying it back at node 4 lifts leaf 7
+    from -3.2e-156 to 0.  At the root rounding absorbs that gain, so brute
+    force keeps doing nothing while ``history_dp`` trades, and both values
+    are -0x1.5555555555555p-2.
+    """
+    third = 0.3333333333333333
+    nodes = [TreeNode(id=0, parent=None, t=0, p=1.0, P=1.0, r=0.0)]
+    nodes += [TreeNode(id=i, parent=0, t=1, p=third, P=0.0, r=0.0, delta=1.0) for i in (1, 2, 3)]
+    for i, P, delta, B in ((1, 2.0, 2.0, 3.2190623646766564e-156), (2, 0.0, 1.0, 1.0), (3, 0.0, 1.0, 0.0)):
+        nodes.append(TreeNode(id=i + 3, parent=i, t=2, p=1.0, P=P, r=0.0, delta=delta))
+        nodes.append(TreeNode(id=i + 6, parent=i + 3, t=3, p=1.0, P=0.0, delta=delta, B=B))
+    return ScenarioTree(T=3, zeta0=0.0, nodes=nodes)
 
 CRITERIA = {
     1: "explicit and recursive terminal wealth agree (1000 pairs, 1e-12 rel, <5s)",

@@ -110,7 +110,7 @@ def test_out_file_matches_stdout_bytes(tmp_path, capsys):
 def test_oracle_agrees_with_itself(capsys):
     code, payload, err = run_json(capsys, "oracle", "--gen", "binomial")
     assert code == 0 and err == ""
-    assert payload["methods_identical"] is True
+    assert payload["methods_agree"] is True
     assert payload["enumerated"] == 5 ** 3
     assert math.isfinite(payload["value"])
     hs = {e["node"]: e["h"] for e in payload["strategy"]}
@@ -122,7 +122,9 @@ def test_oracle_agrees_with_itself(capsys):
 @pytest.mark.parametrize("field", ["value", "strategy"])
 def test_oracle_exits_1_when_the_methods_disagree(monkeypatch, capsys, field):
     # the two oracles agree on every shipped instance, so the disagreement is
-    # planted: a value one ulp off, or one trade with the sign of its zero flipped
+    # planted: a value one ulp off, or, in place of the optimal all-zero
+    # strategy, a sale of 0.5 at the root bought back at date T-1, which does
+    # not replay to the value
     from dataclasses import replace
 
     from impactdp.tree import PredictableAssignment
@@ -133,16 +135,32 @@ def test_oracle_exits_1_when_the_methods_disagree(monkeypatch, capsys, field):
         res = real(*args)
         if field == "value":
             return replace(res, value=math.nextafter(res.value, -math.inf))
+        assert set(res.strategy.values.values()) == {0.0}
+        tree = args[0]
         trades = dict(res.strategy.values)
-        zero = next(node for node, h in trades.items() if h == 0.0)
-        trades[zero] = -trades[zero]
+        trades[0] = -0.5
+        trades.update({n.id: 0.5 for n in tree.nodes_at(tree.T - 1)})
         return replace(res, strategy=PredictableAssignment(trades))
 
     monkeypatch.setattr(cli, "history_dp", off)
     code, payload, err = run_json(capsys, "oracle", "--gen", "binomial")
     assert code == 1
-    assert payload["methods_identical"] is False
+    assert payload["methods_agree"] is False
     assert "disagree in value or strategy" in err
+
+
+def test_oracle_accepts_strategies_that_rounding_splits(tmp_path, capsys, absorbed_gain_tree):
+    # brute force does nothing, history_dp sells and buys back: the values
+    # and both replays are the same float, so the methods agree
+    path = tmp_path / "tree.json"
+    absorbed_gain_tree.save(str(path))
+    code, payload, err = run_json(
+        capsys, "oracle", "--tree", str(path), "--utility", "cap:cap=0", "--oracle-grid=-1,0"
+    )
+    assert code == 0 and err == ""
+    assert payload["methods_agree"] is True
+    assert payload["value"].hex() == "-0x1.5555555555555p-2"
+    assert {e["h"] for e in payload["strategy"]} == {0.0}
 
 
 def test_oracle_reports_capacity_exhaustion(capsys, tmp_path):
@@ -272,16 +290,50 @@ def test_check_flags_invalid_trees(tmp_path, capsys):
     assert payload["valid"] is False and payload["violations"]
 
 
+def test_check_reports_a_missing_depth_as_an_invalid_tree(tmp_path, capsys):
+    # the depth profile needs every depth, so it is left out of the report
+    doc = generate(preset("binomial")).to_dict()
+    del doc["nodes"][11]["delta"]
+    path = tmp_path / "no-depth.json"
+    path.write_text(json.dumps(doc))
+    code, payload, err = run_json(capsys, "check", "--tree", str(path))
+    assert code == 1 and err == ""
+    assert payload["failures"] == ["tree-invalid"] and payload["monotone_depth"] is None
+    assert payload["violations"] == ["node 11 at date 3 is missing depth delta"]
+
+
 def test_non_finite_prices_make_a_tree_invalid(tmp_path, capsys):
-    # JSON readers accept NaN; validation must not
-    path = tmp_path / "nan.json"
-    path.write_text(generate(preset("det-example")).to_json().replace('"P": 1.0', '"P": NaN'))
-    assert "NaN" in path.read_text()
-    code, payload, _ = run_json(capsys, "check", "--tree", str(path))
-    assert code == 1 and payload["valid"] is False
-    assert any("not finite" in v for v in payload["violations"])
-    code, out, err = run(capsys, "solve", "--tree", str(path))
-    assert code == 2 and out == "" and "invalid tree" in err
+    # JSON readers accept NaN and Infinity; validation must not, and every
+    # command that computes on the tree validates it first
+    text = generate(preset("det-example")).to_json()
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(json.dumps([{"node": 0, "h": 0.0}, {"node": 1, "h": 0.0}]))
+    for old, new in (('"P": 1.0', '"P": NaN'), ('"delta": 1.0', '"delta": Infinity')):
+        path = tmp_path / "broken.json"
+        path.write_text(text.replace(old, new, 1))
+        assert new in path.read_text()
+        code, payload, _ = run_json(capsys, "check", "--tree", str(path))
+        assert code == 1 and payload["valid"] is False and payload["monotone_depth"] is None
+        assert any("not finite" in v for v in payload["violations"])
+        for argv in (("solve",), ("oracle",), ("evaluate", "--strategy", str(strategy))):
+            code, out, err = run(capsys, *argv, "--tree", str(path))
+            assert code == 2 and out == "" and "invalid tree" in err, argv
+
+
+@pytest.mark.parametrize("defect", ["probabilities-sum-to-1.2", "leaf-without-B"])
+def test_oracle_and_evaluate_reject_an_invalid_tree(tmp_path, capsys, defect):
+    doc = generate(preset("binomial")).to_dict()
+    if defect == "leaf-without-B":
+        del doc["nodes"][-1]["B"]
+    else:
+        doc["nodes"][1]["p"] = 0.9  # node 0's children: 0.9 + 0.3
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc))
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(json.dumps([{"node": n, "h": 0.0} for n in range(7)]))
+    for argv in (("oracle",), ("evaluate", "--strategy", str(strategy))):
+        code, out, err = run(capsys, *argv, "--tree", str(path))
+        assert code == 2 and out == "" and err.startswith("error: invalid tree:"), argv
 
 
 # -- input handling ----------------------------------------------------------

@@ -19,8 +19,8 @@ from impactdp.dynamics import (
 from impactdp.tree import GeneratorSpec, PredictableAssignment, generate
 
 
-def make_path(T, zeta0, P, r, delta, **kw):
-    return MarketPath(T=T, zeta0=zeta0, P=np.asarray(P, float), r=np.asarray(r, float), delta=np.asarray(delta, float), **kw)
+def make_path(T, zeta0, P, r, delta):
+    return MarketPath(T=T, zeta0=zeta0, P=np.asarray(P, float), r=np.asarray(r, float), delta=np.asarray(delta, float))
 
 
 # -- strategies for random market data --------------------------------------
@@ -141,12 +141,11 @@ def test_path_validation_errors():
         make_path(2, 0.0, (0.0, 0.0, 0.0), (0.0, 0.0), (1.0,))
     with pytest.raises(ValueError, match="nonnegative"):
         make_path(2, 0.0, (0.0, 0.0, 0.0), (-0.1, 0.0), (1.0, 1.0))
-    with pytest.raises(ValueError, match="positive floor"):
-        make_path(2, 0.0, (0.0, 0.0, 0.0), (0.0, 0.0), (0.0, 1.0))
+    for depth in ((0.0, 1.0), (1.0, -2.0)):
+        with pytest.raises(ValueError, match="depth delta must be positive"):
+            make_path(2, 0.0, (0.0, 0.0, 0.0), (0.0, 0.0), depth)
     with pytest.raises(ValueError, match="zeta0"):
         make_path(2, -0.5, (0.0, 0.0, 0.0), (0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(ValueError, match="positive floor"):
-        make_path(2, 0.0, (0.0, 0.0, 0.0), (0.0, 0.0), (1.0, 1.0), delta_min=2.0)
 
 
 def test_path_rejects_non_finite_entries():
@@ -154,6 +153,9 @@ def test_path_rejects_non_finite_entries():
         make_path(2, 0.0, (0.0, math.nan, 0.0), (0.0, 0.0), (1.0, 1.0))
     with pytest.raises(ValueError):
         make_path(2, 0.0, (0.0, 0.0, 0.0), (0.0, math.inf), (1.0, 1.0))
+    for depth in ((1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            make_path(2, 0.0, (0.0, 0.0, 0.0), (0.0, 0.0), depth)
 
 
 @pytest.mark.parametrize("zeta0", [math.nan, math.inf, -math.inf])

@@ -3,7 +3,8 @@
 No linter ships with the project, so its checks are written here: every
 import of a module is used, every exported name resolves, both the strings of
 a module's ``__all__`` and the names the package ``__init__`` imports from its
-modules, and the solver reads every ``SolveConfig`` field.
+modules, the solver reads every ``SolveConfig`` field, and every module of the
+package and of the tests parses as Python 3.10.
 """
 
 import ast
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "impactdp"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "impactdp"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
@@ -94,3 +96,16 @@ def test_every_solve_config_field_is_read():
     unread = sorted(set(fields) - reads(module))
     assert fields
     assert not unread, f"SolveConfig fields that solver.py never reads: {', '.join(unread)}"
+
+
+def test_every_module_parses_as_python_3_10():
+    """``pyproject.toml`` admits Python 3.10, so no module may need newer grammar.
+
+    ``feature_version`` makes ``ast`` reject the 3.11-only grammar it knows
+    of, such as ``except*``; it is best effort, and it does not see calls to
+    library functions or modules that 3.10 lacks.
+    """
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert PACKAGE / "solver.py" in paths and Path(__file__).resolve() in paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

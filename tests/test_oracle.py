@@ -15,6 +15,7 @@ from impactdp.oracle import (
     brute_force_solve,
     enumerate_strategies,
     history_dp,
+    oracles_agree,
 )
 from impactdp.solver import _replay, _run_z, evaluate_strategy
 from impactdp.tree import GeneratorSpec, generate, preset
@@ -101,6 +102,20 @@ def test_history_dp_matches_brute_force_bitwise(name):
     assert dp.value == brute.value  # exact equality, same arithmetic walk
     assert dp.strategy.values == brute.strategy.values
     assert brute.candidates == len(GRID5) ** len(tree.decision_ids())
+
+
+def test_oracles_agree_in_value_where_rounding_splits_their_strategies(absorbed_gain_tree):
+    tree, u, grid = absorbed_gain_tree, capped_linear(0.0), ActionGrid((-1.0, 0.0))
+    brute = brute_force_solve(tree, u, 0.0, grid)
+    dp = history_dp(tree, u, 0.0, grid)
+    assert brute.value.hex() == dp.value.hex() == "-0x1.5555555555555p-2"
+    assert set(brute.strategy.values.values()) == {0.0}
+    assert {n: h for n, h in dp.strategy.values.items() if h != 0.0} == {1: -1.0, 4: 1.0}
+    for res in (brute, dp):
+        assert evaluate_strategy(tree, res.strategy, u, 0.0).hex() == brute.value.hex()
+    assert oracles_agree(tree, u, 0.0, brute, dp)
+    # the first maximum of the root's float comes earlier in (|h|, sign) order
+    assert not oracles_agree(tree, u, 0.0, dp, brute)
 
 
 def test_oracle_value_is_the_exact_evaluation_of_its_strategy():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from impactdp import _kernels
-from impactdp.oracle import ActionGrid, brute_force_solve, history_dp
+from impactdp.oracle import ActionGrid, brute_force_solve, history_dp, oracles_agree
 from impactdp.solver import (
     MarketState,
     SolveConfig,
@@ -672,9 +672,10 @@ def test_exact_state_dp_matches_history_dp_whatever_the_action_order(tree, u, z,
     got = exact_state_dp(tree, u, z, acts)
     oracle = history_dp(tree, u, z, ActionGrid(tuple(acts)))
     assert got[0] == pytest.approx(oracle.value, rel=1e-12, abs=1e-12)
-    # both oracles keep the first maximum in (|h|, sign) order
+    # equal values, exact replays and brute force's key sequence first; the
+    # strategies may differ where rounding at the root absorbs a subtree's gain
     brute = brute_force_solve(tree, u, z, ActionGrid(tuple(acts)))
-    assert _bits((brute.value, brute.strategy)) == _bits((oracle.value, oracle.strategy))
+    assert oracles_agree(tree, u, z, brute, oracle)
     # the tie-break orders actions by (|h|, sign), not by list position
     shuffled = data.draw(st.permutations(acts))
     at = data.draw(st.integers(0, len(acts)))

@@ -75,7 +75,6 @@ def test_indexing_views():
     assert [n.id for n in tree.leaves()] == [2, 3]
     assert tree.decision_ids() == [0]
     assert [n.id for n in tree.parent_chain(3)] == [0, 1, 3]
-    assert tree.delta_min == 1.0
 
 
 # -- validation --------------------------------------------------------------
@@ -103,13 +102,16 @@ def test_validate_reports_probability_and_schedule_problems():
     assert "missing the endowment" in text
 
 
-def test_validate_reports_depth_below_floor():
-    tree = two_leaf_tree()
-    nodes = [tree.node(i) for i in tree.node_ids()]
-    strict = ScenarioTree(T=2, zeta0=0.25, nodes=nodes, delta_min=1.5)
-    rep = strict.validate()
-    assert not rep.ok
-    assert any("below the positive floor" in v for v in rep.violations)
+def test_validate_checks_each_depth_on_its_own():
+    # one bad depth is one violation, named by its node; no floor derived
+    # from the depths is held against the other 13
+    tree = generate(preset("binomial"))
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        nodes = [replace(tree.node(i), delta=bad) if i == 1 else tree.node(i) for i in tree.node_ids()]
+        rep = ScenarioTree(T=tree.T, zeta0=tree.zeta0, nodes=nodes).validate()
+        assert rep.violations == (f"node 1 depth delta={bad} is not finite and positive",)
+    tiny = [replace(tree.node(i), delta=5e-324) if i == 1 else tree.node(i) for i in tree.node_ids()]
+    assert ScenarioTree(T=tree.T, zeta0=tree.zeta0, nodes=tiny).validate().ok
 
 
 def test_validate_reports_date_gaps_and_leaf_children():
