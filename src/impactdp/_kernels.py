@@ -33,7 +33,13 @@ Exponential leaf sums are not floored either, so an exponential layer holds
 exact values, and -inf where a state's value overflows even at zero cash.  The
 hook reads such an entry as ``_BLEND_MIN`` (about -4.5e307), the one bound it
 keeps, since a zero blend weight would otherwise form 0 * inf.  ``U_FLOOR`` is
-left to the cap and pwl families, whose grids interpolate along cash.
+left to the cap and pwl families, whose grids interpolate along cash.  Their
+sweeps run only on the cash rows at and above a layer's affine tail: below
+it, every leaf wealth a trade can reach stays under the utility's kink, where
+the utility is wealth plus a constant, so ``solver.backward_induce`` fills
+those rows with the top row's value plus the cash difference.  The floor,
+the bound search and the action scan never see the filled rows, and the
+floor could only matter there at wealth near -1e300.
 
 A sweep runs in two phases.  Phase one searches, per state, for a truncation
 bound K = K_START * K_FACTOR**n such that the candidates at h = +-K both fall

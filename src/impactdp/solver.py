@@ -31,6 +31,24 @@ kernels' closed-form leaf sum, while the oracles walk trade histories in pure
 Python.  Under exponential utility they run at z = 0 as well and scale their
 value by exp(-alpha*z), and ``solve`` takes its value gap at z = 0.
 
+Cap and pwl utilities have slope one at and below their kink
+(``UtilitySpec.kink``), and no trade adds more cash than the innovation
+envelope's cap P^2 * delta / 4 (``dynamics.innovation_envelope``).  Let G be
+the largest sum of those caps along a path from a node's children down to a
+leaf, and B_min the smallest leaf endowment below it.  At a state with
+z + xi + G - B_min <= kink every reachable leaf wealth lies in the slope-one
+region, so V(xi, zeta, x) = xi + V(0, zeta, x) there exactly, with a trade
+that does not depend on cash.  ``backward_induce`` therefore sweeps a cap or
+pwl layer only from the top row of its affine tail upward.  At date T-2 that
+top is the largest cash row with z + xi + G - B_min <= kink.  Before T-2 it
+is the largest row from which every child read, at cash at most
+xi + P_c^2 * delta_c / 4, lands in that child's tail.  The rows below the top
+are filled with values[top] + (xi - xi_top) and policy[top]; the bound search
+and the action scan see only the swept rows.  At date T-2 the filled rows are
+the full sweep's up to rounding.  Before T-2 they hold the identity where a
+full sweep would read the child grids clamped below the cash axis.
+``diagnostics["swept_states"]`` counts the states the backward pass swept.
+
 A node's grid depends only on its own resilience and endowment and on its
 children's (p, P, delta) and subtrees.  ``backward_induce`` gives every node
 below the root a bottom-up signature of exactly those floats (bit for bit),
@@ -57,7 +75,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .dynamics import _kappa_core, closing_trade, transition
+from .dynamics import _kappa_core, closing_trade, innovation_envelope, transition
 from .tree import PredictableAssignment, ScenarioTree, TreeNode
 from .utility import UtilitySpec
 
@@ -113,9 +131,13 @@ class SolveConfig:
     Auto bounds favor coverage over resolution; pass explicit bounds for
     tight value comparisons.  ``xi_bounds`` and ``xi_count`` apply to cap
     and pwl utility only: exponential layers are cash-free and have no cash
-    axis.  The trade range comes from the kernels' bound search, whose start,
-    growth and round cap are fixed: ``_kernels.K_START``, ``K_FACTOR`` and
-    ``K_ROUNDS``.
+    axis.  Most rows of the auto cash axis lie in a layer's affine tail, where
+    cash plus z plus the envelope gain still possible below the node, minus
+    its smallest leaf endowment, stays at or below the utility's kink: the
+    value there is cash plus a cash-free part, so those rows are filled from
+    the tail's top row and not swept (module docstring).  The trade range
+    comes from the kernels' bound search, whose start, growth and round cap
+    are fixed: ``_kernels.K_START``, ``K_FACTOR`` and ``K_ROUNDS``.
     """
 
     xi_bounds: tuple[float, float] | None = None
@@ -233,22 +255,35 @@ def backward_induce(
     config = config or SolveConfig()
     axes = config.resolve_axes(tree, u)
     z = float(z)
+    kink = u.kink
     layers: dict[int, NodeGrid] = {}
     sig_of: dict[int, int] = {}  # node id -> signature id
     sig_ids: dict[tuple, int] = {}  # signature -> its id, in order of first sight
     computed: dict[int, tuple] = {}  # signature id -> the sweep made for it
+    envelope: dict[int, tuple[float, float]] = {}  # signature id -> (G, B_min), cap and pwl only
+    tail_xi: dict[int, float] = {}  # signature id -> cash of its affine top row, -inf if none
+    swept = 0
     for t in range(tree.T, 0, -1):
         for node in tree.nodes_at(t):
-            kids = tuple(
-                (_exact(k.p), _exact(k.P), _exact(k.delta), sig_of[k.id]) for k in tree.children(node.id)
-            )
+            children = tree.children(node.id)
+            kids = tuple((_exact(k.p), _exact(k.P), _exact(k.delta), sig_of[k.id]) for k in children)
             sig = sig_ids.setdefault((_exact(node.r), _exact(node.B), kids), len(sig_ids))
             sig_of[node.id] = sig
+            if kink is not None and sig not in envelope:
+                envelope[sig] = _envelope(node, children, envelope, sig_of)
             if t > tree.T - 2:
                 continue
             if sig not in computed:
-                computed[sig] = _sweep_node(tree, node, axes.xi, axes.zeta, axes.x, layers, axes, u, z, config)
-                for arr in computed[sig][:2]:
+                top = 0
+                if kink is not None:
+                    top, tail_xi[sig] = _tail_top(tree, node, axes.xi, envelope[sig], tail_xi, sig_of, z, kink)
+                xg = axes.xi[top:]
+                vals, pol, nexp, warn = _sweep_node(tree, node, xg, axes.zeta, axes.x, layers, axes, u, z, config)
+                swept += vals.size
+                if top:
+                    vals, pol = _fill_tail(vals, pol, axes.xi, top)
+                computed[sig] = (vals, pol, nexp, warn)
+                for arr in (vals, pol):
                     arr.setflags(write=False)  # nodes may share them
             layers[node.id] = NodeGrid(node.id, t, *computed[sig])
     diagnostics = {
@@ -258,6 +293,7 @@ def backward_induce(
             sum(np.sum(g.values[1:, :, :] < g.values[:-1, :, :]) for g in layers.values())
         ),
         "distinct_grids": len(computed),
+        "swept_states": swept,
     }
     return ValueFunctions(axes=axes, layers=layers, diagnostics=diagnostics)
 
@@ -265,6 +301,47 @@ def backward_induce(
 def _exact(v: float | None) -> str | None:
     # bit-exact key: 0.0 and -0.0 compare equal but may round differently
     return None if v is None else float(v).hex()
+
+
+def _envelope(node: TreeNode, children: Sequence[TreeNode], envelope: dict, sig_of: dict) -> tuple[float, float]:
+    """(G, B_min) of a node: G bounds the cash the trades below it can still
+    add, the largest sum of innovation envelope caps P^2 * delta / 4 along a
+    path down to a leaf, and B_min is the smallest leaf endowment below it."""
+    if not children:
+        return 0.0, float(node.B)
+    below = [envelope[sig_of[c.id]] for c in children]
+    gain = max(innovation_envelope(c.P, c.delta, 0.0).cap + g for c, (g, _) in zip(children, below))
+    return gain, min(b for _, b in below)
+
+
+def _tail_top(tree, node, xi, envelope, tail_xi, sig_of, z, kink) -> tuple[int, float]:
+    """The lowest cash row a cap or pwl sweep must run, and its cash if it is
+    affine (-inf if no row is).
+
+    A row is affine when every leaf wealth reachable from it stays at or below
+    the utility's kink, where the utility is w plus a constant, so the value
+    there is the row's cash plus a value that does not depend on cash.  At
+    date T-2 that holds when z + xi + G - B_min <= kink.  Before, a row is
+    affine when every child read, at cash at most xi + P_c^2 * delta_c / 4,
+    lands at or below the child's own affine top row.  The affine rows form a
+    prefix of the increasing cash axis; the sweep runs from the top one.
+    """
+    if node.t == tree.T - 2:
+        gain, b_min = envelope
+        ok = z + xi + gain - b_min <= kink
+    else:
+        ok = np.ones(xi.size, dtype=bool)
+        for c in tree.children(node.id):
+            ok &= xi + innovation_envelope(c.P, c.delta, 0.0).cap <= tail_xi[sig_of[c.id]]
+    n = int(np.count_nonzero(ok))
+    return (n - 1, float(xi[n - 1])) if n else (0, -math.inf)
+
+
+def _fill_tail(vals: np.ndarray, pol: np.ndarray, xi: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-axis layers from a sweep of the cash rows top..: row i < top holds
+    values[top] + (xi_i - xi_top) and policy[top]."""
+    below = vals[0] + (xi[:top] - xi[top])[:, None, None]
+    return np.concatenate([below, vals]), np.concatenate([np.broadcast_to(pol[0], below.shape), pol])
 
 
 def _sweep_node(tree, node, xg, zg, xxg, layers, axes, u, z, config):

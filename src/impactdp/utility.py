@@ -123,6 +123,17 @@ class UtilitySpec:
             return float(self.cap)
         return max(k[1] for k in self.knots)
 
+    @property
+    def kink(self) -> float | None:
+        """Wealth at and below which the utility is w plus a constant: ``cap``
+        for cap and the first knot's x for pwl.  None for exp, which has no
+        slope-one region."""
+        if self.family == "exp":
+            return None
+        if self.family == "cap":
+            return float(self.cap)
+        return self.knots[0][0]
+
     def __call__(self, x):
         """Evaluate the utility; accepts scalars or numpy arrays.
 

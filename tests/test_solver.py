@@ -17,6 +17,7 @@ from impactdp.solver import (
     SolveConfig,
     SolverNumericError,
     _exact_walk,
+    _sweep_node,
     backward_induce,
     evaluate_strategy,
     exact_state_dp,
@@ -349,6 +350,7 @@ def test_recombining_lattice_sweeps_each_distinct_subtree_once(monkeypatch):
     assert len(grid_nodes) == 126
     assert len(calls) == 27  # 2 + 3 + ... + 7 distinct subtrees at dates 1..6
     assert vf.diagnostics["distinct_grids"] == 27
+    assert vf.diagnostics["swept_states"] == 27 * 1 * 3 * 3  # cash-free layers
     assert sorted(vf.layers) == grid_nodes
 
 
@@ -403,11 +405,11 @@ FROZEN = {
         "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
     ),
     "binomial-T4-cap": (
-        "fc6f4c6842252793c5060e87b145cb166f0afc625b49726ff1d223b963adaf6b",
+        "0e5e352fa4fc138322971c6bdf816c99475e17a42a97263d42574f169cd93ebf",
         "-0x1.1942850a14289p+5", "0x0.0p+0", "0x1.65af0d59f932cp-6",
     ),
     "trinomial-pwl": (
-        "70840f40869174caf75b8bec4df189acea4e25240bc991bdd09b17861d5da188",
+        "a346d17f831eaafc893f8659f994ce61c1ac8977e4d20619ad8bd1d5aab8435d",
         "-0x1.77f2b5d9bd4c9p+2", "-0x1.874f3651fef43p-4", "0x0.0p+0",
     ),
 }
@@ -446,16 +448,16 @@ def test_layers_and_values_match_frozen_bits(name):
 # 9x5x5 grid sweeps scan their actions in several blocks and the one-point
 # sweeps in one; the bits are those of the scan that took one trade per call.
 ONE_STEP_FROZEN = {
-    (21, "binomial-T4-cap"): "ecb18c862cc363cbc2b37a8f150d6e7240fd8ae91817d1752d686f46be5ed19f",
+    (21, "binomial-T4-cap"): "5ce1c1d6b85ccedea54f47eb85bb2c4c0b9177346ea3a27c5b064ab252012c8d",
     (21, "binomial-exp"): "b50081fdc306694debfc325b6ba5d2646bf91d0586ae7caec30d65090f8d0753",
     (21, "det-example-exp"): "7fe7afc26c8e4d336c5dd7c3baf3f026a9d66921befdc14ecc2378a17382e896",
     (21, "notconvex-exp"): "735c474ff17a8c8b9a0d93457f66c1d17479191c8c84992f1a1a269f339c01ae",
-    (21, "trinomial-pwl"): "6b9d15d0aea913c4d5f0657451bb1016cacb49b4ae67c05eebf974b4bc5a1b96",
-    (201, "binomial-T4-cap"): "9ab232413492e4e6effe1f0ff85d6cd1df1c13e4405ccafc9a3f4405728ab8f2",
+    (21, "trinomial-pwl"): "c37e8c92f81b91bb161f2cb9b83dbb21d1fc655e1816ba76adae2e47ebae24a2",
+    (201, "binomial-T4-cap"): "020c2abfe61fac48d3ee53c712523537c2361372837b5b9108f547e679246d09",
     (201, "binomial-exp"): "84a8c1e479e131651ac74b43c2acf938f9496fa2578930a6eb69f40390996e92",
     (201, "det-example-exp"): "ed163ca0d2c0ad0bbf79aa92f48196240a1c34ed15c9dd8aed08a365404ccec2",
     (201, "notconvex-exp"): "0c179600ce1fe5b5f2e873534e7220dd870878c018826ee45317814399ef1731",
-    (201, "trinomial-pwl"): "d888e9a7ecd44cbf65c8ba4d8678f6926aeaec0829564fbca77254419f6970cc",
+    (201, "trinomial-pwl"): "39757a7322deb84779f567272d59598fa3a7e9ef0ef566dd1d0a9af6f70ce6c9",
 }
 
 
@@ -613,9 +615,10 @@ def test_exact_state_dp_matches_frozen_bits_on_41_actions_at_T4():
 
 
 @st.composite
-def small_trees(draw):
-    """A random non-recombining tree, T in {2, 3}, one to three children per node."""
-    T = draw(st.sampled_from((2, 3)))
+def small_trees(draw, horizons=(2, 3), max_children=3):
+    """A random non-recombining tree, T in ``horizons``, one to
+    ``max_children`` children per node."""
+    T = draw(st.sampled_from(horizons))
 
     def num(lo, hi):
         return draw(st.floats(lo, hi))
@@ -625,7 +628,7 @@ def small_trees(draw):
     for t in range(1, T + 1):
         parents, frontier = frontier, []
         for pid in parents:
-            weights = draw(st.lists(st.floats(0.2, 1.0), min_size=1, max_size=3))
+            weights = draw(st.lists(st.floats(0.2, 1.0), min_size=1, max_size=max_children))
             for w in weights:
                 frontier.append(len(nodes))
                 nodes.append(
@@ -682,6 +685,104 @@ def test_exact_state_dp_matches_history_dp_whatever_the_action_order(tree, u, z,
     doubled = shuffled[:at] + [data.draw(st.sampled_from(acts))] + shuffled[at:]
     for variant in (shuffled, doubled):
         assert _bits(exact_state_dp(tree, u, z, variant)) == _bits(got)
+
+
+# -- affine cash tails -------------------------------------------------------
+
+TAIL_UTILITIES = st.one_of(
+    st.floats(-1.0, 2.0).map(capped_linear),
+    st.just(piecewise_linear([(-1.0, -1.0), (0.0, 0.0), (1.0, 0.5)])),
+    st.just(piecewise_linear([(0.5, 0.5)])),
+    st.just(piecewise_linear([(-1.0, -1.0), (0.0, -0.9), (0.5, 0.5)])),  # not concave
+)
+
+
+def full_sweeps(tree, vf, u, z, config, dates):
+    """Each layer at ``dates`` next to a sweep of its node over the whole cash
+    axis, reading the children's layers of ``vf``."""
+    ax = vf.axes
+    for node in (n for t in dates for n in tree.nodes_at(t)):
+        yield vf.layers[node.id], _sweep_node(tree, node, ax.xi, ax.zeta, ax.x, vf.layers, ax, u, z, config)
+
+
+def closed_form_objective(tree, node, u, z, state, h):
+    """The objective of trading h at one state of a date-(T-2) node, formed
+    as ``_kernels.sweep_exact`` forms it."""
+    kids = tree.children(node.id)
+
+    def cont(c, XI1, ZE1, X1):
+        leaves = tree.children(kids[c].id)
+        lp, lP, ld, lB = (np.array([getattr(q, a) for q in leaves]) for a in ("p", "P", "delta", "B"))
+        return _kernels._leaf_sum(XI1, ZE1, X1, math.exp(-kids[c].r), lp, lP, ld, lB, *u.kernel_encoding(), z)
+
+    cp, cP, cd = (np.array([getattr(k, a) for k in kids]) for a in ("p", "P", "delta"))
+    cand = _kernels._over_children(math.exp(-node.r), cp, cP, cd, cont)
+    xi, zeta, x = (np.full((1, 1, 1), v) for v in state)
+    return float(cand(xi, zeta, x, np.full((1, 1, 1, 1), h))[0, 0, 0, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_trees(horizons=(3, 4), max_children=2),
+    TAIL_UTILITIES,
+    st.sampled_from((-5.0, 0.0, 5.0)),
+    st.booleans(),
+)
+def test_affine_tail_matches_a_full_sweep_at_the_closed_form_date(tree, u, z, near_kink):
+    # at date T-2 every trade from an affine row ends at or below the kink, so
+    # the filled rows are the full sweep's up to rounding, and so is its
+    # policy: where the trades differ, both are maxima that rounding splits
+    # (on a symmetric tree the full sweep's own trade changes from row to row).
+    # The auto cash axis steps by hundreds; the near-kink axis steps by one
+    # across the threshold, so rows fall between it and the kink
+    config = FROZEN_CONFIG
+    if near_kink:
+        config = replace(config, xi_bounds=(u.kink - z - 12.0, u.kink - z + 4.0), xi_count=17)
+    vf = backward_induce(tree, u, z, config)
+    ax = vf.axes
+    for got, (values, policy, _, _) in full_sweeps(tree, vf, u, z, config, [tree.T - 2]):
+        assert np.all(np.abs(got.values - values) <= 1e-14 * (1.0 + np.abs(values)))
+        for i, j, k in zip(*np.nonzero(got.policy != policy)):
+            state = (ax.xi[i], ax.zeta[j], ax.x[k])
+            tail, full = (
+                closed_form_objective(tree, tree.node(got.node_id), u, z, state, h)
+                for h in (got.policy[i, j, k], policy[i, j, k])
+            )
+            assert abs(tail - full) <= 1e-14 * (1.0 + abs(full))
+    per_grid = vf.axes.xi.size * vf.axes.zeta.size * vf.axes.x.size
+    assert vf.diagnostics["swept_states"] <= vf.diagnostics["distinct_grids"] * per_grid
+
+
+@pytest.mark.parametrize(
+    "z, xi_bounds",
+    [(1e6, None), (0.0, (50.0, 60.0))],
+    ids=["endowment-above-the-cap", "cash-axis-above-the-cap"],
+)
+def test_an_empty_affine_tail_sweeps_every_row_as_before(z, xi_bounds):
+    # no row can stay below the kink: every layer is the full sweep, bit for bit
+    tree, u = frozen_instance("binomial-T4-cap")
+    config = replace(FROZEN_CONFIG, xi_bounds=xi_bounds)
+    vf = backward_induce(tree, u, z, config)
+    for got, (values, policy, nexp, warn) in full_sweeps(tree, vf, u, z, config, range(1, tree.T - 1)):
+        assert got.values.tobytes() == values.tobytes() and got.policy.tobytes() == policy.tobytes()
+        assert (got.k_expansions, got.k_warnings) == (nexp, warn)
+    assert vf.diagnostics["swept_states"] == vf.diagnostics["distinct_grids"] * 9 * 5 * 5
+
+
+def test_affine_tail_sweeps_only_the_rows_above_it():
+    # binomial T = 4 under cap = 1 at z = 0, nine cash rows: the three
+    # distinct date-2 grids sweep rows 7..8 and the two date-1 grids rows
+    # 6..8; each lower row is the top row's value moved by the cash step
+    tree, u = frozen_instance("binomial-T4-cap")
+    vf = backward_induce(tree, u, 0.0, FROZEN_CONFIG)
+    assert vf.diagnostics["distinct_grids"] == 5
+    assert vf.diagnostics["swept_states"] == (3 * 2 + 2 * 3) * 5 * 5
+    xi = vf.axes.xi
+    for grid in vf.layers.values():
+        top = {1: 6, 2: 7}[grid.t]
+        for i in range(top):
+            assert np.array_equal(grid.values[i], grid.values[top] + (xi[i] - xi[top]))
+            assert np.array_equal(grid.policy[i], grid.policy[top])
 
 
 # -- full pipeline -----------------------------------------------------------

@@ -57,6 +57,24 @@ def test_piecewise_linear_values():
     assert u.c_u == 1.0
 
 
+@pytest.mark.parametrize(
+    "u, kink",
+    [
+        (capped_linear(-0.5), -0.5),
+        (piecewise_linear([(-1.0, -2.0), (0.0, 0.0), (2.0, 1.0)]), -1.0),
+        (piecewise_linear([(0.5, 3.0)]), 0.5),
+        (exponential(1.0), None),
+    ],
+)
+def test_kink_ends_the_slope_one_region(u, kink):
+    assert u.kink == kink
+    if kink is not None:
+        # at and below the kink, u(w) = w + u(kink) - kink
+        for w in (kink, kink - 1.0, kink - 1e3):
+            assert u(w) == pytest.approx(w + u(kink) - kink, abs=1e-12)
+        assert u(kink + 0.25) != kink + 0.25 + u(kink) - kink
+
+
 def test_piecewise_linear_requires_increasing_knots():
     with pytest.raises(ValueError):
         piecewise_linear([(0.0, 0.0), (0.0, 1.0)])
