@@ -33,7 +33,9 @@ Exponential leaf sums are not floored either, so an exponential layer holds
 exact values, and -inf where a state's value overflows even at zero cash.  The
 hook reads such an entry as ``_BLEND_MIN`` (about -4.5e307), the one bound it
 keeps, since a zero blend weight would otherwise form 0 * inf.  ``U_FLOOR`` is
-left to the cap and pwl families, whose grids interpolate along cash.  Their
+left to the cap and pwl families, whose grids interpolate along cash:
+``_leaf_sum`` floors each of their leaf utilities there, while
+``utility.evaluate_utility`` itself stays exact for every family.  Their
 sweeps run only on the cash rows at and above a layer's affine tail: below
 it, every leaf wealth a trade can reach stays under the utility's kink, where
 the utility is wealth plus a constant, so ``solver.backward_induce`` fills
@@ -100,12 +102,6 @@ K_START, K_FACTOR, K_ROUNDS = 1.0, 2.0, 40
 
 # the most negative value that blends of two such values cannot overflow
 _BLEND_MIN = -np.finfo(np.float64).max / 4.0
-
-
-def _floor(ucode):
-    # exponential layers are cash-free and never interpolated along cash, so
-    # their utilities stay exact
-    return None if ucode == 0 else U_FLOOR
 
 
 def _axis_lookup(vals, grid):
@@ -288,10 +284,15 @@ def _leaf_sum(XI, ZE, XX, decay, lp, lP, ld, lB, ucode, ua, uxs, uys, z):
     G = -XX
     AG = np.abs(G)
     acc = np.zeros(np.broadcast(XI, ZE, XX).shape)
-    floor = _floor(ucode)
     for q in range(lp.shape[0]):
         XI2, _ = transition(XI, ZE, G, AG, decay, lP[q], ld[q])
-        acc += lp[q] * evaluate_utility(ucode, ua, uxs, uys, z + XI2 - lB[q], floor)
+        v = evaluate_utility(ucode, ua, uxs, uys, z + XI2 - lB[q])
+        if ucode != 0:
+            # exponential layers are cash-free and never interpolated along
+            # cash, so only cap and pwl utilities are floored
+            v = np.maximum(v, U_FLOOR)
+        acc += lp[q] * v
+        del v  # kept through the next leaf's transition, it would raise the peak
     return acc
 
 

@@ -17,6 +17,12 @@ and the history fixes the wealth, so brute force computes each such value once
 and reuses the float for every later candidate that shares the key.  The
 reused value is the one a full replay would compute again, so the bits cannot
 change.
+
+Both oracles, and ``enumerate_strategies``, decide only the free trades at
+dates 0..T-2.  The exact-state walk of the forward pass,
+``solver._exact_walk``, completes them to a strategy: it reads each free
+trade off its node id (enumeration) or its node and trade history
+(``history_dp``), and adds the forced closing trade at date T-1.
 """
 
 from __future__ import annotations
@@ -29,8 +35,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dynamics import closing_trade
-from .solver import _cara_shift, _Replay, _run_z, _tie_key, _Walk, evaluate_strategy
+from .solver import _cara_shift, _exact_walk, _run_z, _tie_key, _Walk, evaluate_strategy
 from .tree import PredictableAssignment, ScenarioTree
 from .utility import UtilitySpec
 
@@ -92,21 +97,10 @@ class OracleResult:
     candidates: int
 
 
-def _closing_chains(tree: ScenarioTree) -> list[tuple[int, tuple[int, ...]]]:
-    """Each date-(T-1) node's id with the ids of its ancestors, root first."""
-    return [
-        (node.id, tuple(a.id for a in tree.parent_chain(node.id)[:-1]))
-        for node in tree.nodes_at(tree.T - 1)
-    ]
-
-
-def _closure_values(chains: list[tuple[int, tuple[int, ...]]], decided: dict[int, float]) -> dict[int, float]:
-    """Extend free trades with the forced closing trade at every date-(T-1)
-    node; ``chains`` is ``_closing_chains(tree)``."""
-    values = dict(decided)
-    for node_id, ancestors in chains:
-        values[node_id] = closing_trade(tuple(values[a] for a in ancestors))
-    return values
+def _completed(tree: ScenarioTree, free: Mapping[int, float]) -> PredictableAssignment:
+    """The liquidating strategy that trades ``free[node id]`` at the
+    free-choice nodes, completed by the exact-state walk's forced close."""
+    return _exact_walk(tree, lambda node, xi, zeta, x, hs: free[node.id])
 
 
 def _combos(tree: ScenarioTree, grid: ActionGrid, cap: int):
@@ -132,13 +126,12 @@ def enumerate_strategies(tree: ScenarioTree, grid: ActionGrid, cap: int = DEFAUL
     ``cap`` raises ``CapacityError`` before any work is done.
     """
     ids, combos = _combos(tree, grid, cap)
-    chains = _closing_chains(tree)
     for combo in combos:
-        yield PredictableAssignment(_closure_values(chains, dict(zip(ids, combo))))
+        yield _completed(tree, dict(zip(ids, combo)))
 
 
-class _Reuse(_Replay):
-    """The walk of brute force: one ``_Replay`` for all candidates, whose
+class _Reuse(_Walk):
+    """The walk of brute force: one replay walk for all candidates, whose
     ``trades`` are set to each candidate's free trades in turn, and which
     remembers the subtree values it computes.
 
@@ -156,11 +149,11 @@ class _Reuse(_Replay):
     def decide(self, node, rsums, deltas, hs, wealth):
         get = self.subtree.get(node.id)
         if get is None:
-            return _Replay.decide(self, node, rsums, deltas, hs, wealth)
+            return _Walk.decide(self, node, rsums, deltas, hs, wealth)
         key = (node.id, hs, get(self.trades))
         v = self.memo.get(key)
         if v is None:
-            v = self.memo[key] = _Replay.decide(self, node, rsums, deltas, hs, wealth)
+            v = self.memo[key] = _Walk.decide(self, node, rsums, deltas, hs, wealth)
         return v
 
 
@@ -206,8 +199,7 @@ def brute_force_solve(
             if best is None or v > best_v:
                 best_v = v
                 best = trades
-    strategy = PredictableAssignment(_closure_values(_closing_chains(tree), best))
-    return OracleResult(value=_cara_shift(u, best_v, z), strategy=strategy, candidates=n)
+    return OracleResult(value=_cara_shift(u, best_v, z), strategy=_completed(tree, best), candidates=n)
 
 
 class _Search(_Walk):
@@ -216,7 +208,7 @@ class _Search(_Walk):
     far, and records it in ``choice`` under (node id, trade history)."""
 
     def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float, grid: ActionGrid) -> None:
-        super().__init__(tree, u, z)
+        super().__init__(tree, u, z, {})
         self.order = sorted(grid.values, key=_tie_key)
         self.choice: dict[tuple, float] = {}
         self.evaluations = 0
@@ -248,14 +240,9 @@ def history_dp(
     walk = _Search(tree, u, _run_z(u, z), grid)
     with np.errstate(over="ignore"):
         value = walk.root_value()
-    # a child decides once per parent candidate, so choices are keyed by
-    # history; read the argmax path off them, parents first
-    chosen: dict[int, float] = {}
-    for t in range(tree.T - 1):
-        for node in tree.nodes_at(t):
-            hs = tuple(chosen[a.id] for a in tree.parent_chain(node.id)[:-1])
-            chosen[node.id] = walk.choice[(node.id, hs)]
-    strategy = PredictableAssignment(_closure_values(_closing_chains(tree), chosen))
+    # a child decides once per parent candidate, so choices are keyed by the
+    # trade history, which the exact-state walk hands to its pick
+    strategy = _exact_walk(tree, lambda node, xi, zeta, x, hs: walk.choice[(node.id, hs)])
     return OracleResult(value=_cara_shift(u, value, z), strategy=strategy, candidates=walk.evaluations)
 
 

@@ -11,9 +11,10 @@ over the leaves of each last-decision-date child), so value grids exist at
 dates 1..T-2 only: they are read back with clamped multilinear interpolation
 by the sweeps of the date before, and the root value comes from a one-step
 optimization at the exact root state.  ``_sweep_node`` is the one map from a
-node's date to its kernel, and checks every result for NaN and +inf: the
-backward pass calls it on the grid axes, ``one_step_optimize`` on one-point
-axes at an exact state.
+node's date to its kernel, checks every result for NaN and +inf, and clamps
+cap and pwl results at the utility's bound c_u, which a sum of saturated
+leaves can exceed by rounding: the backward pass calls it on the grid axes,
+``one_step_optimize`` on one-point axes at an exact state.
 
 Under exponential utility u(w) = -exp(-alpha*w) cash and the endowment z add
 to wealth, so V_t(xi, zeta, x) = exp(-alpha*(xi + z)) * V_t(0, zeta, x) with
@@ -60,10 +61,15 @@ an iid tree sweeps each distinct subtree once.
 The walk, ``_Walk``, is the single evaluation path shared with the exhaustive
 oracles, which is what makes oracle cross-checks exact rather than
 approximate: ``evaluate_strategy``, brute force and ``history_dp`` differ only
-in ``decide``, the value of a decision node before date T-1.  ``_Replay``
-plays a fixed strategy, brute force replays every candidate that way,
+in ``decide``, the value of a decision node before date T-1.  ``_Walk``
+itself plays a fixed strategy, brute force replays every candidate that way,
 unchecked, reusing the subtree values it has already computed, and
-``history_dp`` maximizes over its grid.
+``history_dp`` maximizes over its grid.  A rule for the free trades becomes a
+full strategy in one more walk, ``_exact_walk``: it carries each node's exact
+state and trade history, asks the rule for the trade before date T-1 and
+closes the position at T-1.  ``forward_extract``, ``exact_state_dp`` and both
+oracles complete their strategies there.  ``solve`` certifies its answer when
+root and replay differ by at most ``VALUE_TOL`` relative to 1 + |root|.
 """
 
 from __future__ import annotations
@@ -97,6 +103,11 @@ __all__ = [
 ]
 
 
+# the largest relative gap between the root value and the replay of the
+# extracted strategy that still certifies a solve
+VALUE_TOL = 1e-2
+
+
 class SolverNumericError(RuntimeError):
     """Raised when a value layer contains NaN or +inf."""
 
@@ -123,7 +134,7 @@ class GridAxes:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Grid geometry, action count and certification tolerance for one solve.
+    """Grid geometry and action count for one solve.
 
     ``None`` bounds are auto-sized from the tree: the position axis covers
     +-T, the spread axis covers the worst case reachable with trades that
@@ -147,7 +158,6 @@ class SolveConfig:
     x_bounds: tuple[float, float] | None = None
     x_count: int = 21
     action_count: int = 201
-    value_tol: float = 1e-2
 
     def __post_init__(self) -> None:
         for name in ("xi_count", "zeta_count", "x_count"):
@@ -164,8 +174,6 @@ class SolveConfig:
         zb = self.zeta_bounds
         if zb is not None and zb[0] < 0.0:
             raise ValueError("zeta_bounds must be nonnegative")
-        if not (math.isfinite(self.value_tol) and self.value_tol >= 0.0):
-            raise ValueError("value_tol must be finite and nonnegative")
 
     def resolve_axes(self, tree: ScenarioTree, u: UtilitySpec | None = None) -> GridAxes:
         """Grid axes for ``tree``: the auto position axis is +-T, the auto
@@ -382,6 +390,9 @@ def _sweep_node(tree, node, xg, zg, xxg, layers, axes, u, z, config):
         nexp, warn = int(nexp.max()), int(warn.sum())
     if np.isnan(vals).any() or np.isposinf(vals).any():
         raise SolverNumericError(f"non-finite values at node {node.id}")
+    if u.family != "exp":
+        # u <= c_u, but a sum of saturated leaves can round above it
+        np.minimum(vals, u.c_u, out=vals)
     return vals, pol, nexp, warn
 
 
@@ -460,7 +471,7 @@ def forward_extract(
     config = config or SolveConfig()
     steps: list[OneStep] = []
 
-    def pick(node: TreeNode, xi: float, zeta: float, x: float) -> float:
+    def pick(node: TreeNode, xi: float, zeta: float, x: float, hs: tuple) -> float:
         steps.append(one_step_optimize(tree, node.id, MarketState(xi, zeta, x), value_functions, u, z, config))
         return steps[-1].h
 
@@ -475,24 +486,26 @@ def forward_extract(
 def _exact_walk(tree: ScenarioTree, pick: Callable) -> PredictableAssignment:
     """The trades along every path from the root's exact state.
 
-    ``pick(node, xi, zeta, x)`` chooses the trade at a node before the last
-    decision date; the walk closes the position at T-1 and applies
+    ``pick(node, xi, zeta, x, hs)`` chooses the trade at a node before the
+    last decision date, given its exact state and the trades ``hs`` made on
+    the way to it, root first.  The walk closes the position at T-1 with
+    ``dynamics.closing_trade(hs)``, as the evaluation walk does, and applies
     ``dynamics.transition`` in between.  The root is picked first.
     """
     values: dict[int, float] = {}
-    stack = [(tree.root, 0.0, tree.zeta0, 0.0)]
+    stack = [(tree.root, 0.0, tree.zeta0, 0.0, ())]
     while stack:
-        node, xi, zeta, x = stack.pop()
+        node, xi, zeta, x, hs = stack.pop()
         if node.t == tree.T - 1:
-            values[node.id] = 0.0 if x == 0.0 else -x
+            values[node.id] = closing_trade(hs)
             continue
-        h = pick(node, xi, zeta, x)
-        values[node.id] = h
+        h = values[node.id] = pick(node, xi, zeta, x, hs)
         ah = abs(h)
         decay = math.exp(-node.r)
+        hs = hs + (h,)
         for child in reversed(tree.children(node.id)):
             xi1, ze1 = transition(xi, zeta, h, ah, decay, child.P, child.delta)
-            stack.append((child, xi1, ze1, x + h))
+            stack.append((child, xi1, ze1, x + h, hs))
     return PredictableAssignment(values)
 
 
@@ -520,7 +533,7 @@ def evaluate_strategy(
 
 def _replay(tree: ScenarioTree, assignment: PredictableAssignment, u: UtilitySpec, z: float) -> float:
     """``evaluate_strategy`` without its checks on the strategy."""
-    return _Replay(tree, u, z, assignment.values).root_value()
+    return _Walk(tree, u, z, assignment.values).root_value()
 
 
 class _Walk:
@@ -528,13 +541,15 @@ class _Walk:
 
     Wealth is accumulated child by child with the explicit cash-innovation
     form, leaves score terminal utility at endowment ``z``, the position is
-    closed at date T-1, and ``decide`` gives the value of a node before T-1:
-    the one thing a subclass says.  A walk holds no reference to itself, so
-    whatever tables a subclass fills go with it, also when the walk raises.
+    closed at date T-1, and ``decide`` gives the value of a node before T-1.
+    This walk's ``decide`` plays the fixed free trades ``trades``, by node id;
+    a subclass says otherwise by overriding it.  A walk holds no reference to
+    itself, so whatever tables a subclass fills go with it, also when the
+    walk raises.
     """
 
-    def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float) -> None:
-        self.tree, self.u, self.z = tree, u, z
+    def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float, trades: Mapping[int, float]) -> None:
+        self.tree, self.u, self.z, self.trades = tree, u, z, trades
 
     def root_value(self) -> float:
         return self.node_value(self.tree.root, (0.0,), (), (), 0.0)
@@ -559,17 +574,6 @@ class _Walk:
         return acc
 
     def decide(self, node: TreeNode, rsums: tuple, deltas: tuple, hs: tuple, wealth: float) -> float:
-        raise NotImplementedError
-
-
-class _Replay(_Walk):
-    """The walk that plays the fixed free trades ``trades``, by node id."""
-
-    def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float, trades: Mapping[int, float]) -> None:
-        super().__init__(tree, u, z)
-        self.trades = trades
-
-    def decide(self, node, rsums, deltas, hs, wealth):
         return self.child_sum(node, rsums, deltas, hs, wealth, self.trades[node.id])
 
 
@@ -638,7 +642,7 @@ def exact_state_dp(
                     j_best = np.where(tot[j] > tot[j_best, cols], j, j_best)
                 values[node.id], best[node.id] = tot[j_best, cols], j_best
 
-    def pick(node: TreeNode, xi: float, zeta: float, x: float) -> float:
+    def pick(node: TreeNode, xi: float, zeta: float, x: float, hs: tuple) -> float:
         sxi, szeta, sx = states[node.id]
         return acts[best[node.id][np.flatnonzero((sxi == xi) & (szeta == zeta) & (sx == x))[0]]]
 
@@ -684,7 +688,7 @@ def solve(
     diagnostics["k_expansions"] = max(diagnostics["k_expansions"], extract_diag["k_expansions"])
     diagnostics["k_warnings"] += extract_diag["k_warnings"]
     diagnostics["value_gap"] = abs(root_step.value - replay) / (1.0 + abs(root_step.value))
-    diagnostics["value_gap_ok"] = diagnostics["value_gap"] <= config.value_tol
+    diagnostics["value_gap_ok"] = diagnostics["value_gap"] <= VALUE_TOL
     return SolveReport(
         root_value=_cara_shift(u, root_step.value, z),
         strategy=assignment,

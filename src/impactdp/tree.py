@@ -555,21 +555,13 @@ class MonotoneDepthReport:
 def monotone_depth_check(tree: ScenarioTree) -> MonotoneDepthReport:
     violations = []
     for leaf in tree.leaves():
-        chain = tree.parent_chain(leaf.id)
-        rsum = 0.0
+        path = tree.extract_path(leaf.id).path
         prev = None
-        hit = None
         for t in range(1, tree.T + 1):
-            step_node = chain[t - 1]
-            if step_node.r is None or chain[t].delta is None:
-                raise ValueError(f"path to leaf {leaf.id} is missing r or delta")
-            rsum = rsum + float(step_node.r)
-            decay = math.exp(-rsum)
-            s = decay * decay * float(chain[t].delta)
+            decay = path.decay(0, t)
+            s = decay * decay * float(path.delta[t - 1])
             if prev is not None and not s < prev:
-                hit = t
+                violations.append((leaf.id, t))
                 break
             prev = s
-        if hit is not None:
-            violations.append((leaf.id, hit))
     return MonotoneDepthReport(holds=not violations, violations=tuple(violations))

@@ -30,13 +30,13 @@ __all__ = [
 _FAMILIES = ("exp", "cap", "pwl")
 
 
-def evaluate_utility(code: int, a: float, xs: np.ndarray, ys: np.ndarray, w, floor: float | None):
+def evaluate_utility(code: int, a: float, xs: np.ndarray, ys: np.ndarray, w):
     """Utility of wealth ``w`` (a float or an array) for an encoded family.
 
     ``(code, a, xs, ys)`` is the tuple ``UtilitySpec.kernel_encoding`` returns.
-    With ``floor=None`` the value is exact, and the exponential family may
-    reach -inf, which the oracles need to rank arbitrarily bad strategies.  The
-    grid kernels pass a finite floor so interpolation never forms 0 * inf.
+    The value is exact, and the exponential family may reach -inf, which the
+    oracles need to rank arbitrarily bad strategies.  Any floor is the
+    kernels' decision (``_kernels._leaf_sum``).
     """
     if code == 0:
         with np.errstate(over="ignore"):
@@ -60,7 +60,7 @@ def evaluate_utility(code: int, a: float, xs: np.ndarray, ys: np.ndarray, w, flo
                 f = (w[inside] - xs[s]) / (xs[s + 1] - xs[s])
                 v[inside] = ys[s] * (1.0 - f) + ys[s + 1] * f
         np.copyto(v, ys[n - 1], where=w >= xs[n - 1])
-    return v if floor is None else np.maximum(v, floor)
+    return v
 
 
 def _pwl_scalar(xs: list, ys: list, w: float) -> float:
@@ -142,7 +142,7 @@ class UtilitySpec:
         strategies.
         """
         w = x if isinstance(x, float) else np.asarray(x, dtype=np.float64)
-        out = evaluate_utility(*self._encoding, w, None)
+        out = evaluate_utility(*self._encoding, w)
         return float(out) if np.ndim(out) == 0 else out
 
     def _encode(self) -> tuple[int, float, np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import impactdp._kernels as K
-from impactdp.utility import capped_linear, evaluate_utility, exponential, piecewise_linear
+from impactdp.utility import capped_linear, exponential, piecewise_linear
 
 
 def exp_encoding(alpha=1.0):
@@ -65,8 +65,11 @@ def test_kernel_parameters_keep_their_positions():
 
 
 def floored(u, w):
-    """Utility as the kernels see it: the shared evaluator with U_FLOOR."""
-    return evaluate_utility(*u.kernel_encoding(), w, K.U_FLOOR)
+    """Utility as the kernels see it: the leaf sum of one leaf at zero price,
+    depth 1 and endowment 0, from a flat position at cash w, where the leaf
+    wealth is w itself."""
+    one, zero = np.ones(1), np.zeros(1)
+    return K._leaf_sum(w, 0.0, 0.0, 1.0, one, zero, one, zero, *u.kernel_encoding(), 0.0)
 
 
 def test_u_scalar_matches_family_formulas():
@@ -80,8 +83,8 @@ def test_u_scalar_matches_family_formulas():
 def test_u_scalar_floors_instead_of_overflowing():
     assert K.U_FLOOR == -1e300
     u = exponential(1.0)
-    assert floored(u, -800.0) == K.U_FLOOR
-    assert u(-800.0) == -math.inf  # only the kernel path clamps
+    # exponential leaf sums stay exact: their layers are cash-free
+    assert floored(u, -800.0) == -math.inf == u(-800.0)
     # capped utility floors too once wealth is absurd
     u = capped_linear(0.0)
     assert floored(u, -2e300) == K.U_FLOOR

@@ -194,13 +194,13 @@ def test_each_subtree_value_is_computed_at_most_once(monkeypatch):
     ids = tree.decision_ids()
     inside = {i: [d for d in ids if i in {a.id for a in tree.parent_chain(d)}] for i in ids}
     keys = Counter()
-    real = oracle._Replay.decide
+    real = solver_module._Walk.decide
 
     def counted(walk, node, rsums, deltas, hs, wealth):
         keys[(node.id, hs, tuple(walk.trades[i] for i in inside[node.id]))] += 1
         return real(walk, node, rsums, deltas, hs, wealth)
 
-    monkeypatch.setattr(oracle._Replay, "decide", counted)
+    monkeypatch.setattr(solver_module._Walk, "decide", counted)
     grid = ActionGrid((-1.0, 0.0, 1.0))
     res = brute_force_solve(tree, capped_linear(1.0), 0.0, grid)
     assert res.candidates == 3 ** len(ids) == 2187

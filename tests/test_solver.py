@@ -5,6 +5,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,8 +56,8 @@ def two_leaf_tree(p_up=0.6, p_dn=None):
         ({"xi_bounds": (2.0, 1.0)}, "increasing"),
         ({"zeta_bounds": (3.0, 3.0)}, "increasing"),
         ({"zeta_bounds": (-1.0, 3.0)}, "nonnegative"),
-        ({"value_tol": math.nan}, "value_tol must be finite and nonnegative"),
-        ({"value_tol": -1.0}, "value_tol must be finite and nonnegative"),
+        ({"xi_bounds": (math.nan, 1.0)}, "xi_bounds must be finite"),
+        ({"zeta_bounds": (0.0, math.nan)}, "zeta_bounds must be finite"),
         ({"x_bounds": (-math.inf, 1.0)}, "x_bounds must be finite"),
         ({"zeta_bounds": (0.0, math.inf)}, "zeta_bounds must be finite"),
         ({"xi_bounds": (-1.0, math.inf)}, "xi_bounds must be finite"),
@@ -89,7 +90,7 @@ def test_explicit_bounds_are_honored_exactly():
 
 
 def test_config_echo_round_trips_through_kwargs():
-    cfg = SolveConfig(xi_bounds=(-2.0, 2.0), action_count=51, value_tol=0.5)
+    cfg = SolveConfig(xi_bounds=(-2.0, 2.0), action_count=51)
     echoed = cfg.echo()
     rebuilt = SolveConfig(
         **{
@@ -471,7 +472,7 @@ def test_one_step_results_match_frozen_bits(n_act, name):
         digest.update(vf.layers[nid].values.tobytes())
         digest.update(vf.layers[nid].policy.tobytes())
 
-    def pick(node, xi, zeta, x):
+    def pick(node, xi, zeta, x, hs):
         steps = [
             one_step_optimize(tree, node.id, MarketState(*s), vf, u, 0.0, config)
             for s in ((xi, zeta, x), (xi + 0.5, zeta + 0.3, x - 0.35))
@@ -871,6 +872,17 @@ def test_cash_axis_monotonicity_count_under_cap_and_pwl(name):
     tree, u = frozen_instance(name)
     vf = backward_induce(tree, u, 0.0, FROZEN_CONFIG)
     assert vf.axes.xi.size == FROZEN_CONFIG.xi_count
+    assert vf.diagnostics["monotonicity_violations"] == 0
+
+
+def test_saturated_cash_rows_stay_at_the_utility_bound():
+    # a random binary T = 4 tree whose top date-1 cash rows saturate at c_u:
+    # their sums of saturated leaves used to round above c_u, and seven
+    # values fell by an ulp along the cash axis
+    tree = ScenarioTree.load(Path(__file__).parent / "data" / "random-T4-pwl.json")
+    u = piecewise_linear([(-1.0, -1.0), (0.0, 0.0), (1.0, 0.694203291930319)])
+    vf = backward_induce(tree, u, 0.0)
+    assert max(float(g.values.max()) for g in vf.layers.values()) == u.c_u
     assert vf.diagnostics["monotonicity_violations"] == 0
 
 

@@ -107,10 +107,9 @@ def test_array_evaluation_matches_scalar():
     probes += [math.inf, -math.inf, math.nan]
     for u in (piecewise_linear(knots), piecewise_linear([(0.5, 0.25)])):
         w = np.array(probes)
-        for floor in (None, -1e300):
-            out = evaluate_utility(*u.kernel_encoding(), w, floor)
-            assert bits([evaluate_utility(*u.kernel_encoding(), x, floor) for x in probes]) == bits(out)
-            assert bits([evaluate_utility(*u.kernel_encoding(), np.float64(x), floor) for x in probes]) == bits(out)
+        out = evaluate_utility(*u.kernel_encoding(), w)
+        assert bits([evaluate_utility(*u.kernel_encoding(), x) for x in probes]) == bits(out)
+        assert bits([evaluate_utility(*u.kernel_encoding(), np.float64(x)) for x in probes]) == bits(out)
         assert bits([u(x) for x in probes]) == bits(u(w))
 
 
@@ -145,13 +144,11 @@ def test_pwl_segment_passes_match_the_mask_formula_bitwise():
             rng.uniform(xs[0] - 2.0, xs[-1] + 2.0, size=200),
         ])
         for w in (probes, probes.reshape(-1, 1) + np.zeros(3)):
-            for floor in (None, -1e300):
-                got = evaluate_utility(code, a, xs, ys, w, floor)
-                want = pwl_by_masks(xs, ys, w)
-                assert got.tobytes() == (want if floor is None else np.maximum(want, floor)).tobytes()
+            got = evaluate_utility(code, a, xs, ys, w)
+            assert got.tobytes() == pwl_by_masks(xs, ys, w).tobytes()
         for x in probes:
             # a 0-d array stays a 0-d array, as the masks keep it
-            got = evaluate_utility(code, a, xs, ys, np.array(x), None)
+            got = evaluate_utility(code, a, xs, ys, np.array(x))
             want = pwl_by_masks(xs, ys, np.array(x))
             assert isinstance(got, np.ndarray) and got.shape == ()
             assert got.tobytes() == want.tobytes()
