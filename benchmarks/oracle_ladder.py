@@ -1,0 +1,109 @@
+"""Time the exhaustive oracles on a ladder of trees and action grids.
+
+For each rung, ``brute_force_solve`` and ``history_dp`` run once to warm up,
+then ``REPEATS`` times under ``time.perf_counter``, then once more under
+``tracemalloc``.  An entry records the candidate count (``candidates`` of the
+result), the median and every wall time, the ``tracemalloc`` peak in bytes
+and per candidate, and the value as ``float.hex``.  The entries go to
+``benchmarks/BENCH_oracles.json`` under ``--label``; entries of other labels
+stay, so one file holds the runs of two versions side by side.
+
+The rungs are ``binomial`` at T = 4 under ``cap:cap=1`` on 3, 5 and 7 evenly
+spaced actions in [-1, 1], and the ``random-cap`` and ``lattice-exp`` trees of
+perfbench seeds 1 and 5 on their coarse grids, at the perfbench endowment.
+``--src`` names the package source to time, so another checkout can be
+measured with this same script::
+
+    python3 benchmarks/oracle_ladder.py --label change
+    python3 benchmarks/oracle_ladder.py --label parent --src ../parent/src
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+OUT = HERE / "BENCH_oracles.json"
+REPEATS = 5
+
+
+def _rungs(workloads, oracle, tree_mod, utility):
+    """(name, tree, utility, z, grid) for every rung of the ladder."""
+    tree = tree_mod.generate(tree_mod.preset("binomial", T=4))
+    cap = utility.parse_utility("cap:cap=1")
+    for n in (3, 5, 7):
+        m = n // 2
+        grid = oracle.ActionGrid(tuple(k / m for k in range(-m, m + 1)))
+        yield f"binomial-T4 cap:cap=1 {n} actions", tree, cap, 0.0, grid
+    for workload in ("random-cap", "lattice-exp"):
+        for seed in (1, 5):
+            for inst in workloads.build(workload, seed):
+                yield f"{workload} seed {seed} {inst.name}", inst.tree, inst.utility, workloads.Z, inst.coarse
+
+
+def _measure(fn, args) -> dict:
+    result = fn(*args)
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {
+        "candidates": result.candidates,
+        "median_s": statistics.median(times),
+        "times_s": times,
+        "peak_bytes": peak,
+        "peak_bytes_per_candidate": peak / result.candidates,
+        "value": float(result.value).hex(),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="key of this run in the output file")
+    ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the impactdp package")
+    args = ap.parse_args(argv)
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
+    import numpy as np
+    import workloads
+    from impactdp import oracle, tree, utility
+
+    entries = []
+    for name, t, u, z, grid in _rungs(workloads, oracle, tree, utility):
+        for fn in (oracle.brute_force_solve, oracle.history_dp):
+            entry = {"rung": name, "oracle": fn.__name__, **_measure(fn, (t, u, z, grid))}
+            print(f"{name:48s} {fn.__name__:18s} {entry['candidates']:>8d} {entry['median_s']:9.4f} s "
+                  f"{entry['peak_bytes'] / 1e6:8.2f} MB {entry['value']}", flush=True)
+            entries.append(entry)
+    doc = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {"runs": {}}
+    doc["script"] = "benchmarks/oracle_ladder.py"
+    doc["runs"][args.label] = {
+        "machine": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "processor": platform.processor(),
+        },
+        "repeats": REPEATS,
+        "entries": entries,
+    }
+    OUT.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

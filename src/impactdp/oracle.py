@@ -10,13 +10,13 @@ the ground truth the grid solver is tested against.  Both keep the first
 maximum in ``solver._tie_key`` order, but of the root's float (brute force) or
 each subtree's (``history_dp``), so their strategies can differ.
 
-Enumeration does not replay the whole tree for every candidate.  Below the
-root, a subtree's value is a function of its node, the trade history above it
-and the trades at the decision nodes inside it: the node fixes the path data
-and the history fixes the wealth, so brute force computes each such value once
-and reuses the float for every later candidate that shares the key.  The
-reused value is the one a full replay would compute again, so the bits cannot
-change.
+Enumeration does not replay the whole tree for every candidate.  Its walk
+decides each (decision node, trade history) once, into an array over every
+combination of the free trades in the node's subtree, and adds children's
+arrays by broadcasting, entry by entry with the floats of the scalar walk.
+The root's array thus holds every candidate's replay value, in enumeration
+order, at 8 bytes a candidate; brute force keeps the first candidate, then
+only a strictly greater value, so a NaN never wins after the first.
 
 Both oracles, and ``enumerate_strategies``, decide only the free trades at
 dates 0..T-2.  The exact-state walk of the forward pass,
@@ -30,8 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -130,46 +129,45 @@ def enumerate_strategies(tree: ScenarioTree, grid: ActionGrid, cap: int = DEFAUL
         yield _completed(tree, dict(zip(ids, combo)))
 
 
-class _Reuse(_Walk):
-    """The walk of brute force: one replay walk for all candidates, whose
-    ``trades`` are set to each candidate's free trades in turn, and which
-    remembers the subtree values it computes.
+class _Scores(_Walk):
+    """The walk of brute force: a decision node's value is one float64 array
+    over every combination of the free trades in its subtree.
 
-    ``subtree`` maps a node whose key can recur to a getter of the trades at
-    the decision nodes of its subtree; the key is (node id, trade history,
-    those trades).  A key recurs only if some decision node is neither above
-    nor below the node, so the root and the nodes of a chain are not kept.
+    The array has an axis per decision node, in ``tree.decision_ids()``
+    order, of size ``len(grid)`` on the node's own axis and on its subtree's
+    and 1 elsewhere; leading axes of size 1 may be left out, since NumPy
+    broadcasts from the right.  Slot k of the node's own axis holds
+    ``child_sum`` of the k-th trade in ``_tie_key`` order, written in as it
+    is made.  ``child_sum`` adds its children's arrays by broadcasting, each
+    entry with the floats of the scalar walk, so the root's array read in C
+    order is every candidate's replay in ``_combos`` order.
     """
 
-    def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float, subtree: Mapping[int, Callable]) -> None:
+    def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float, grid: ActionGrid) -> None:
         super().__init__(tree, u, z, {})
-        self.subtree = subtree
-        self.memo: dict[tuple, float] = {}
+        ids = tree.decision_ids()
+        self.order = sorted(grid.values, key=_tie_key)
+        # the index that picks slot k of a node's axis reads (..., k, *after)
+        self.after = {i: (slice(None),) * (len(ids) - 1 - a) for a, i in enumerate(ids)}
 
     def decide(self, node, rsums, deltas, hs, wealth):
-        get = self.subtree.get(node.id)
-        if get is None:
-            return _Walk.decide(self, node, rsums, deltas, hs, wealth)
-        key = (node.id, hs, get(self.trades))
-        v = self.memo.get(key)
-        if v is None:
-            v = self.memo[key] = _Walk.decide(self, node, rsums, deltas, hs, wealth)
-        return v
+        after = self.after[node.id]
+        out = None
+        for k, h in enumerate(self.order):
+            part = self.child_sum(node, rsums, deltas, hs, wealth, h)
+            if out is None:
+                out = np.empty(np.broadcast_shapes(np.shape(part), (len(self.order),) + (1,) * len(after)))
+            out[(..., slice(k, k + 1), *after)] = part
+        return out
 
 
-def _scores(tree: ScenarioTree, grid: ActionGrid, u: UtilitySpec, z: float, cap: int):
-    """Yield each candidate's free trades, by node id in id order, with its
-    value at endowment ``z``: the float ``solver._replay`` gives the
-    candidate's strategy.  Candidates come in ``_combos`` order."""
-    ids, combos = _combos(tree, grid, cap)
-    chains = {i: [a.id for a in tree.parent_chain(i)] for i in ids}
-    below = {i: [d for d in ids if i in chains[d]] for i in ids}
-    # a key recurs when ancestors and subtree leave out some decision node
-    subtree = {i: itemgetter(*below[i]) for i in ids if len(chains[i]) - 1 + len(below[i]) < len(ids)}
-    walk = _Reuse(tree, u, z, subtree)
-    for combo in combos:
-        walk.trades = dict(zip(ids, combo))
-        yield walk.trades, walk.root_value()
+def _first_max(scores: np.ndarray) -> int:
+    """The index a scan ends on that keeps the first candidate, and after it
+    only a strictly greater value: 0 if ``scores[0]`` is NaN, else the first
+    maximum among the values that are not NaN."""
+    if math.isnan(scores[0]):
+        return 0
+    return int(np.argmax(scores == np.nanmax(scores)))
 
 
 def brute_force_solve(
@@ -184,22 +182,21 @@ def brute_force_solve(
     candidates are scored at z = 0 and the best value is scaled by
     exp(-alpha * z), as in the grid solver.
 
-    Each subtree value below the root is computed once per (node, trade
-    history, trades inside the subtree) and reused by the later candidates
-    that share it.  The node fixes the path data and the history fixes the
-    wealth, so the reused float is the one a full replay of the candidate
-    would compute again, and every score is that replay's, bit for bit.
+    One walk scores every candidate: each (decision node, trade history) is
+    decided once, into an array over its subtree's trades (``_Scores``), and
+    the root's array holds each candidate's score, the float a full replay of
+    its strategy gives, in enumeration order.  It takes 8 bytes a candidate,
+    about 80 MB at ``DEFAULT_CAP``.
     """
-    best_v = -math.inf
-    best: dict[int, float] | None = None
-    n = 0
+    ids, _ = _combos(tree, grid, cap)
+    walk = _Scores(tree, u, _run_z(u, z), grid)
     with np.errstate(over="ignore"):
-        for trades, v in _scores(tree, grid, u, _run_z(u, z), cap):
-            n += 1
-            if best is None or v > best_v:
-                best_v = v
-                best = trades
-    return OracleResult(value=_cara_shift(u, best_v, z), strategy=_completed(tree, best), candidates=n)
+        scores = np.ravel(walk.root_value())
+    i = _first_max(scores)
+    picks = np.unravel_index(i, (len(grid),) * len(ids))
+    best = {node: walk.order[k] for node, k in zip(ids, picks)}
+    value = _cara_shift(u, float(scores[i]), z)
+    return OracleResult(value=value, strategy=_completed(tree, best), candidates=scores.size)
 
 
 class _Search(_Walk):

@@ -62,13 +62,13 @@ The walk, ``_Walk``, is the single evaluation path shared with the exhaustive
 oracles, which is what makes oracle cross-checks exact rather than
 approximate: ``evaluate_strategy``, brute force and ``history_dp`` differ only
 in ``decide``, the value of a decision node before date T-1.  ``_Walk``
-itself plays a fixed strategy, brute force replays every candidate that way,
-unchecked, reusing the subtree values it has already computed, and
-``history_dp`` maximizes over its grid.  A rule for the free trades becomes a
-full strategy in one more walk, ``_exact_walk``: it carries each node's exact
-state and trade history, asks the rule for the trade before date T-1 and
-closes the position at T-1.  ``forward_extract``, ``exact_state_dp`` and both
-oracles complete their strategies there.  ``solve`` certifies its answer when
+itself plays a fixed strategy, brute force scores every candidate at once
+with a ``decide`` that gives an array over the free trades of the node's
+subtree, and ``history_dp`` maximizes over its grid.  A rule for the free
+trades becomes a full strategy in one more walk, ``_exact_walk``: it carries
+each node's exact state and trade history, asks the rule for the trade before
+date T-1 and closes the position at T-1.  ``forward_extract``,
+``exact_state_dp`` and both oracles complete their strategies there.  ``solve`` certifies its answer when
 root and replay differ by at most ``VALUE_TOL`` relative to 1 + |root|.
 """
 
@@ -543,7 +543,9 @@ class _Walk:
     form, leaves score terminal utility at endowment ``z``, the position is
     closed at date T-1, and ``decide`` gives the value of a node before T-1.
     This walk's ``decide`` plays the fixed free trades ``trades``, by node id;
-    a subclass says otherwise by overriding it.  A walk holds no reference to
+    a subclass says otherwise by overriding it, as brute force does with a
+    ``decide`` that returns an array over every free trade in the subtree,
+    which ``child_sum`` adds like a float.  A walk holds no reference to
     itself, so whatever tables a subclass fills go with it, also when the
     walk raises.
     """
@@ -570,7 +572,8 @@ class _Walk:
         for child in tree.children(node.id):
             ds = deltas + (float(child.delta),)
             kap = _kappa_core(tree.zeta0, rs, ds, float(child.P), hs)
-            acc += child.p * self.node_value(child, rs, ds, hs, wealth + kap)
+            # not +=: a subclass's values may be arrays of different shapes
+            acc = acc + child.p * self.node_value(child, rs, ds, hs, wealth + kap)
         return acc
 
     def decide(self, node: TreeNode, rsums: tuple, deltas: tuple, hs: tuple, wealth: float) -> float:

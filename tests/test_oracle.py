@@ -2,10 +2,13 @@
 
 import gc
 import math
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import impactdp.oracle as oracle
 import impactdp.solver as solver_module
@@ -17,9 +20,10 @@ from impactdp.oracle import (
     history_dp,
     oracles_agree,
 )
-from impactdp.solver import _replay, _run_z, evaluate_strategy
-from impactdp.tree import GeneratorSpec, generate, preset
+from impactdp.solver import _cara_shift, _replay, _run_z, evaluate_strategy
+from impactdp.tree import GeneratorSpec, ScenarioTree, TreeNode, generate, preset
 from impactdp.utility import capped_linear, exponential, piecewise_linear
+from test_solver import PROPERTY_UTILITIES, small_trees
 
 
 GRID5 = ActionGrid((-1.0, -0.5, 0.0, 0.5, 1.0))
@@ -161,7 +165,7 @@ def test_history_dp_evaluation_count():
         assert dp.candidates == want
 
 
-# -- reuse of subtree values -------------------------------------------------
+# -- one walk scores every candidate -----------------------------------------
 
 UTILITIES = {
     "exp": exponential(1.0),
@@ -173,42 +177,138 @@ UTILITIES = {
 @pytest.mark.parametrize("z", [0.0, 0.25])
 @pytest.mark.parametrize("family", sorted(UTILITIES))
 def test_every_candidate_scores_as_its_full_replay(family, z):
-    # brute force reuses subtree values across candidates; each score must
-    # still be the float a full replay of the candidate gives
+    # the root's array, read in C order, holds each enumerated candidate's
+    # score: the float a full replay of its strategy gives
     tree = generate(preset("binomial"))
     u = UTILITIES[family]
     z_run = _run_z(u, z)
-    ids = tree.decision_ids()
-    n = 0
+    n = len(tree.decision_ids())
     with np.errstate(over="ignore"):
-        scored = oracle._scores(tree, GRID5, u, z_run, oracle.DEFAULT_CAP)
-        for (trades, v), strategy in zip(scored, enumerate_strategies(tree, GRID5), strict=True):
-            assert list(trades.items()) == [(i, strategy.values[i]) for i in ids]
-            assert v.hex() == _replay(tree, strategy, u, z_run).hex()
-            n += 1
-    assert n == len(GRID5) ** len(ids)
+        root = oracle._Scores(tree, u, z_run, GRID5).root_value()
+        replays = [_replay(tree, s, u, z_run).hex() for s in enumerate_strategies(tree, GRID5)]
+    assert root.shape == (len(GRID5),) * n
+    assert [v.hex() for v in root.ravel().tolist()] == replays
+    assert len(replays) == len(GRID5) ** n
 
 
 def test_each_subtree_value_is_computed_at_most_once(monkeypatch):
     tree = generate(preset("binomial", T=4))
     ids = tree.decision_ids()
-    inside = {i: [d for d in ids if i in {a.id for a in tree.parent_chain(d)}] for i in ids}
     keys = Counter()
-    real = solver_module._Walk.decide
+    real = oracle._Scores.decide
 
     def counted(walk, node, rsums, deltas, hs, wealth):
-        keys[(node.id, hs, tuple(walk.trades[i] for i in inside[node.id]))] += 1
+        keys[(node.id, hs)] += 1
         return real(walk, node, rsums, deltas, hs, wealth)
 
-    monkeypatch.setattr(solver_module._Walk, "decide", counted)
-    grid = ActionGrid((-1.0, 0.0, 1.0))
-    res = brute_force_solve(tree, capped_linear(1.0), 0.0, grid)
+    monkeypatch.setattr(oracle._Scores, "decide", counted)
+    res = brute_force_solve(tree, capped_linear(1.0), 0.0, ActionGrid((-1.0, 0.0, 1.0)))
     assert res.candidates == 3 ** len(ids) == 2187
-    assert max(keys.values()) == 1
-    # one root sum per candidate, and each (node, history, subtree trades) key
-    # of a decision node below the root: 3**(t + subtree size) keys
-    below = sum(3 ** (tree.node(i).t + len(inside[i])) for i in ids if i != tree.root_id)
-    assert sum(keys.values()) == res.candidates + below == 2187 + 270
+    # one call per (decision node, trade history above it), none per candidate
+    assert set(keys.values()) == {1}
+    assert sum(keys.values()) == sum(3 ** tree.node(i).t for i in ids) == 1 + 2 * 3 + 4 * 9
+
+
+def test_brute_force_holds_one_float_per_candidate():
+    # each own-trade part goes into the node's array as it is made, so the
+    # root's array (8 bytes a candidate) is nearly all that is held at once
+    tree = generate(preset("binomial", T=4))
+    args = (tree, capped_linear(1.0), 0.0, GRID5)
+    brute_force_solve(*args)
+    tracemalloc.start()
+    try:
+        res = brute_force_solve(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.candidates == 5**7
+    assert peak <= 16 * res.candidates
+
+
+@pytest.mark.parametrize(
+    "scores, want",
+    [
+        ([math.nan, 1.0, 2.0], 0),  # the first candidate stands even as NaN
+        ([1.0, math.nan, 2.0, 2.0, math.nan], 2),  # later NaNs never win
+        ([-math.inf, -math.inf, math.nan], 0),
+        ([-0.0, 0.0, 1.0, math.inf, math.inf], 3),
+        ([0.0, -0.0], 0),
+    ],
+)
+def test_first_max_is_the_scan_that_keeps_only_strictly_greater(scores, want):
+    assert oracle._first_max(np.array(scores)) == want
+
+
+def _scan(tree, u, z, grid):
+    """Brute force written out: replay every enumerated strategy and keep the
+    first one, then only a strictly greater value."""
+    z_run = _run_z(u, z)
+    best_v, best, n = None, None, 0
+    with np.errstate(over="ignore"):
+        for strategy in enumerate_strategies(tree, grid):
+            v = _replay(tree, strategy, u, z_run)
+            n += 1
+            if best is None or v > best_v:
+                best_v, best = v, strategy
+    return _cara_shift(u, best_v, z), best, n
+
+
+def assert_brute_force_is_the_scan(tree, u, z, grid):
+    res = brute_force_solve(tree, u, z, grid)
+    value, strategy, n = _scan(tree, u, z, grid)
+    assert res.value.hex() == value.hex()
+    assert {k: v.hex() for k, v in res.strategy.values.items()} == {k: v.hex() for k, v in strategy.values.items()}
+    assert res.candidates == n
+
+
+def _children_first(tree):
+    """``tree`` with its ids reversed, so every child's id is below its
+    parent's and the root's axis comes last."""
+    top = max(tree.node_ids())
+    nodes = [
+        replace(n, id=top - n.id, parent=None if n.parent is None else top - n.parent)
+        for n in (tree.node(i) for i in tree.node_ids())
+    ]
+    return ScenarioTree(T=tree.T, zeta0=tree.zeta0, nodes=nodes)
+
+
+def test_brute_force_picks_as_the_scan_where_the_oracles_part(absorbed_gain_tree):
+    assert_brute_force_is_the_scan(absorbed_gain_tree, capped_linear(0.0), 0.0, ActionGrid((-1.0, 0.0)))
+
+
+@pytest.mark.parametrize("family", sorted(UTILITIES))
+def test_brute_force_picks_as_the_scan_with_the_root_axis_last(family):
+    tree = _children_first(generate(preset("binomial", T=4)))
+    assert tree.validate().ok
+    assert tree.decision_ids()[-1] == tree.root_id
+    assert_brute_force_is_the_scan(tree, UTILITIES[family], 0.25, ActionGrid((-1.0, 0.0, 1.0)))
+
+
+def _one_step_tree():
+    """A T = 1 tree: the root trades only its forced close, so it has no free
+    trade and one candidate (``validate`` asks for T >= 2; the walk does not)."""
+    nodes = [TreeNode(id=0, parent=None, t=0, p=1.0, P=1.0, r=0.1)]
+    nodes += [TreeNode(id=i, parent=0, t=1, p=0.5, P=P, delta=d, B=B) for i, P, d, B in ((1, 1.2, 1.0, 0.1), (2, 0.8, 2.0, -0.2))]
+    return ScenarioTree(T=1, zeta0=0.1, nodes=nodes)
+
+
+@pytest.mark.parametrize("short", ["T=2", "T=1"])
+@pytest.mark.parametrize("family", sorted(UTILITIES))
+def test_brute_force_picks_as_the_scan_on_short_trees(family, short):
+    tree = generate(preset("binomial", T=2)) if short == "T=2" else _one_step_tree()
+    assert tree.decision_ids() == ([tree.root_id] if short == "T=2" else [])
+    assert_brute_force_is_the_scan(tree, UTILITIES[family], 0.25, GRID5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_trees(),
+    st.sampled_from(PROPERTY_UTILITIES),
+    st.sampled_from((0.0, 0.25, -0.5)),
+    st.lists(st.sampled_from((-1.0, -0.5, -0.3, 0.25, 0.5, 0.7, 1.0)), unique=True, max_size=3),
+)
+def test_brute_force_picks_as_the_scan_on_random_trees(tree, u, z, trades):
+    assert_brute_force_is_the_scan(tree, u, z, ActionGrid((0.0, *trades)))
 
 
 def test_brute_force_leaves_no_cycles():
