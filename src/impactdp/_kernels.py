@@ -1,4 +1,4 @@
-"""Hot numeric paths for the grid solver: vectorized NumPy sweeps.
+"""Hot numeric paths for the grid solver and the exact DP: vectorized NumPy sweeps.
 
 A sweep optimizes, for every grid state (xi, zeta, x), the one-step objective
 
@@ -7,19 +7,22 @@ A sweep optimizes, for every grid state (xi, zeta, x), the one-step objective
 where (xi', zeta') is the child's ``dynamics.transition`` after trading h and
 x' = x + h.  Both sweeps form this sum in ``_over_children`` and differ in the
 continuation only: the closed-form leaf sum ``_leaf_sum`` (close x', sum the
-utility over the leaves; ``forced_layer`` is that sum) for children at the last
-decision date, and before that a read of the child's value grid, by clamped
-multilinear interpolation ``_interp3`` under cap and pwl utility and by the
-CARA hook ``_cara_interp`` under exponential utility.  All states of a node are
-swept at once as broadcast views of the three axes, xi on axis 0, zeta on
-axis 1 and x on axis 2, and the candidate trades of one call lie on a leading
-axis of their own.  So each intermediate is computed on the axes it depends
-on: zeta' on the trade-by-zeta slab, x' on the trade-by-x slab and xi' on the
-trade-by-xi-by-zeta block.  The interpolation follows the same split in two
-stages: it blends the child grid's rows over xi' and zeta' once per xi-by-zeta
-query, for every grid column, and then picks and blends the two columns around
-each x'.  Only the second stage and the utility run over every state and
-trade.
+utility over the leaves; ``forced_layer`` is that sum), through ``_leaf_cont``,
+for children at the last decision date, and before that a read of the child's
+value grid, by clamped multilinear interpolation ``_interp3`` under cap and pwl
+utility and by the CARA hook ``_cara_interp`` under exponential utility.  All
+states of a node are swept at once as broadcast views of the three axes, xi on
+axis 0, zeta on axis 1 and x on axis 2, and the candidate trades of one call
+lie on a leading axis of their own.  So each intermediate is computed on the
+axes it depends on: zeta' on the trade-by-zeta slab, x' on the trade-by-x slab
+and xi' on the trade-by-xi-by-zeta block.  The interpolation follows the same
+split in two stages: it blends the child grid's rows over xi' and zeta' once
+per xi-by-zeta query, for every grid column, and then picks and blends the two
+columns around each x'.  Only the second stage and the utility run over every
+state and trade.  ``solver.exact_state_dp`` scores a date-(T-2) node's trades
+with the same candidate on the node's exact states as flat arrays, through the
+same block path ``_rows`` and scan ``_scan``, so its memory grows with
+|A|^(T-2) for an action set A.
 
 Under u(w) = -exp(-a*w) cash enters wealth additively, so a value function
 factors exactly as V(xi, zeta, x) = exp(-a*xi) * V(0, zeta, x).  Exponential
@@ -60,17 +63,19 @@ neighbouring states truncate at different bounds.  The scan visits the
 actions in increasing (|h|, sign) order, 0, -d, +d, -2d, +2d, ..., and takes a
 candidate only when it is strictly better, so the first maximum met wins: ties
 go to the smallest trade, then to the sale, and a NaN candidate never wins.
-Both phases take their trades through one block path: the h = 0 probe, each
-round's +-K pair and the scan's actions reach the candidate in blocks of
-max(1, _BLOCK // states) trades, and the best values are then updated one
-trade after another.  A candidate value is the one a call with that trade
-alone gives, so the block size changes the work per call but not a bit of the
-result: a one-point sweep makes one call per round and one for its scan, a
-cash-free 1x21x21 layer takes 37 trades per call, and a grid of more than 8192
-states, such as a 41x21x21 cap or pwl layer, one.
+Both phases take their trades through one block path, ``_rows``: the h = 0
+probe, each round's +-K pair and the scan's actions reach the candidate in
+blocks of max(1, _BLOCK // states) trades, and ``_scan`` then updates the best
+values one trade after another.  A candidate value is the one a call with that
+trade alone gives, so the block size changes the work per call but not a bit
+of the result: a one-point sweep makes one call per round and one for its
+scan, a cash-free 1x21x21 layer takes 37 trades per call, and a grid of more
+than 8192 states, such as a 41x21x21 cap or pwl layer, one.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -201,30 +206,20 @@ def symmetric_grid(hi, n):
 def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
     """Shared state-vectorized optimizer; ``cand`` maps trades to values.
 
-    ``cand(XI, ZE, XX, H)`` gets the axes as broadcast views and a block of n
-    trades as H of shape (n, 1, 1, 1), and returns the candidate values of
-    every state as a new array of shape (n, nx, nz, nxx).  Per-state bound
-    search with the dominance, plateau, and max-expansion exits in that
-    order, then one scan of all states over the action set built from the
-    layer-wide maximum bound.  A state still searching in round n probes
-    +-k0 * kfac**n, the same bound for every such state, so each round is one
-    pair of trades; the values of states that already stopped are not read.
-    ``values`` makes every candidate call, max(1, _BLOCK // states) trades at
-    a time, and the scan keeps the strict-> update per trade.
+    ``cand`` is called through ``_rows`` on the axes as broadcast views.
+    Per-state bound search with the dominance, plateau, and max-expansion
+    exits in that order, then one ``_scan`` of all states over the action set
+    built from the layer-wide maximum bound.  A state still searching in round
+    n probes +-k0 * kfac**n, the same bound for every such state, so each
+    round is one pair of trades; the values of states that already stopped
+    are not read.
     """
     XI = xg[:, None, None]
     ZE = zg[None, :, None]
     XX = xxg[None, None, :]
     shape = (xg.shape[0], zg.shape[0], xxg.shape[0])
-    size = max(1, _BLOCK // (shape[0] * shape[1] * shape[2]))
-
-    def values(hs):
-        hs = np.asarray(hs, dtype=np.float64)
-        for start in range(0, hs.size, size):
-            yield from cand(XI, ZE, XX, hs[start : start + size].reshape(-1, 1, 1, 1))
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        (v0,) = values([0.0])
+        (v0,) = _rows(cand, XI, ZE, XX, [0.0])
         big = k0
         active = np.ones(shape, dtype=bool)
         nexp = np.zeros(shape, dtype=np.int64)
@@ -232,7 +227,7 @@ def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
         prev_vp = prev_vm = None
         rounds = 0
         while True:
-            vp, vm = values([big, -big])
+            vp, vm = _rows(cand, XI, ZE, XX, [big, -big])
             active &= ~((vp <= v0) & (vm <= v0))
             if rounds > 0:
                 flat = active & (vp == prev_vp) & (vm == prev_vm)
@@ -250,15 +245,38 @@ def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
             rounds += 1
         m = (n_act - 1) // 2
         hs = symmetric_grid(float(big), n_act)
-        best_v = v0
-        best_i = np.full(shape, m)
-        # 0, -d, +d, -2d, +2d, ...: a strict > keeps the first maximum met
-        order = (m + np.arange(1, m + 1)[:, None] * np.array([-1, 1])).ravel()
-        for v, iact in zip(values(hs[order]), order):
-            better = v > best_v
-            np.copyto(best_v, v, where=better)
-            best_i[better] = iact
+        # 0, -d, +d, -2d, +2d, ...: the h = 0 row is the search's v0
+        order = np.append(m, m + np.arange(1, m + 1)[:, None] * np.array([-1, 1]))
+        rows = itertools.chain((v0,), _rows(cand, XI, ZE, XX, hs[order[1:]]))
+        best_v, best_i = _scan(rows, order)
     return best_v, hs[best_i], nexp, warn
+
+
+def _rows(cand, XI, ZE, XX, hs):
+    """``cand``'s values at the trades ``hs``, one new row per trade, from
+    calls ``cand(XI, ZE, XX, H)`` of max(1, _BLOCK // states) trades on the
+    leading axis of H; a call's rows are yielded before the next call."""
+    hs = np.asarray(hs, dtype=np.float64)
+    states = np.broadcast(XI, ZE, XX)
+    size = max(1, _BLOCK // states.size)
+    lead = (-1,) + (1,) * states.ndim
+    for start in range(0, hs.size, size):
+        yield from cand(XI, ZE, XX, hs[start : start + size].reshape(lead))
+
+
+def _scan(rows, index):
+    """Per state, the value and ``index`` entry of the row a scan of ``rows``
+    ends on that keeps the first row and after it only a strictly greater one:
+    ties keep the earlier row, a NaN first row stands and a later NaN never
+    wins.  The rows are read one at a time; the first is updated in place."""
+    rows = iter(rows)
+    best_v = next(rows)
+    best_i = np.full(best_v.shape, index[0])
+    for v, i in zip(rows, index[1:]):
+        better = v > best_v
+        np.copyto(best_v, v, where=better)
+        best_i[better] = i
+    return best_v, best_i
 
 
 def _over_children(decay, cp, cP, cdelta, cont):
@@ -296,16 +314,22 @@ def _leaf_sum(XI, ZE, XX, decay, lp, lP, ld, lB, ucode, ua, uxs, uys, z):
     return acc
 
 
-def sweep_exact(xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z, k0, kfac, kmax, n_act):
-    """Sweep a node whose children sit at the last decision date.
-
-    Child c's leaves are entries goff[c]..goff[c+1]-1 of the g* arrays.
-    """
+def _leaf_cont(cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z):
+    """The continuation of children at the last decision date: child c's
+    ``_leaf_sum`` over its leaves, entries goff[c]..goff[c+1]-1 of the g*
+    arrays, at its resilience decay cdecay[c]."""
 
     def cont(c, XI1, ZE1, X1):
         q = slice(goff[c], goff[c + 1])
         return _leaf_sum(XI1, ZE1, X1, cdecay[c], gp[q], gP[q], gd[q], gB[q], ucode, ua, uxs, uys, z)
 
+    return cont
+
+
+def sweep_exact(xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z, k0, kfac, kmax, n_act):
+    """Sweep a node whose children sit at the last decision date, summing
+    their leaves in closed form (``_leaf_cont``)."""
+    cont = _leaf_cont(cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z)
     return _sweep(_over_children(decay, cp, cP, cdelta, cont), xg, zg, xxg, k0, kfac, kmax, n_act)
 
 

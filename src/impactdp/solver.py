@@ -26,11 +26,13 @@ exp(-alpha*xi') * W(zeta', x'), exact along xi with no cash clamp and no
 utility floor (``_kernels`` has the details).  ``one_step_optimize`` runs the
 node at xi = z = 0 and scales the value to the state's cash plus z.  Cap and
 pwl layers keep the cash axis and z.  ``exact_state_dp`` and the oracles use
-no grid at all: ``exact_state_dp`` takes the exact states an action set
-reaches as arrays, one date at a time, and sums the last two dates with the
-kernels' closed-form leaf sum, while the oracles walk trade histories in pure
-Python.  Under exponential utility they run at z = 0 as well and scale their
-value by exp(-alpha*z), and ``solve`` takes its value gap at z = 0.
+no grid at all: ``exact_state_dp`` takes the exact states an action set A
+reaches as arrays, one date at a time, and scores the trades of each
+date-(T-2) node with ``sweep_exact``'s candidate, block path and first-maximum
+scan, so its memory grows with |A|^(T-2), while the oracles walk trade
+histories in pure Python.  Under exponential utility they run at z = 0 as well
+and scale their value by exp(-alpha*z), and ``solve`` takes its value gap at
+z = 0.
 
 Cap and pwl utilities have slope one at and below their kink
 (``UtilitySpec.kink``), and no trade adds more cash than the innovation
@@ -374,12 +376,8 @@ def _sweep_node(tree, node, xg, zg, xxg, layers, axes, u, z, config):
         cp, cP, cdelta = _fields(kids, "p", "P", "delta")
         search = (_kernels.K_START, _kernels.K_FACTOR, _kernels.K_ROUNDS, config.action_count)
         if node.t == tree.T - 2:
-            leaves = [tree.children(k.id) for k in kids]
-            goff = np.cumsum([0] + [len(ls) for ls in leaves], dtype=np.int64)
-            cdecay = np.array([math.exp(-k.r) for k in kids], dtype=np.float64)
-            packed = _fields([leaf for ls in leaves for leaf in ls], "p", "P", "delta", "B")
             vals, pol, nexp, warn = _kernels.sweep_exact(
-                xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, *packed, ucode, ua, uxs, uys, z, *search
+                xg, zg, xxg, decay, cp, cP, cdelta, *_leaves(tree, kids), ucode, ua, uxs, uys, z, *search
             )
         else:
             grids = np.ascontiguousarray(np.stack([layers[k.id].values for k in kids]))
@@ -398,6 +396,16 @@ def _sweep_node(tree, node, xg, zg, xxg, layers, axes, u, z, config):
 
 def _fields(nodes: Sequence[TreeNode], *names: str) -> tuple[np.ndarray, ...]:
     return tuple(np.array([getattr(n, name) for n in nodes], dtype=np.float64) for name in names)
+
+
+def _leaves(tree: ScenarioTree, kids: Sequence[TreeNode]) -> tuple[np.ndarray, ...]:
+    """The leaves below the date-(T-1) nodes ``kids`` as ``_kernels._leaf_cont``
+    takes them: each kid's decay exp(-r), the offsets of each kid's leaves and
+    the leaves' p, P, delta and B, packed kid after kid."""
+    leaves = [tree.children(k.id) for k in kids]
+    goff = np.cumsum([0] + [len(ls) for ls in leaves], dtype=np.int64)
+    cdecay = np.array([math.exp(-k.r) for k in kids], dtype=np.float64)
+    return (cdecay, goff, *_fields([leaf for ls in leaves for leaf in ls], "p", "P", "delta", "B"))
 
 
 def _run_z(u: UtilitySpec, z: float) -> float:
@@ -605,8 +613,12 @@ def exact_state_dp(
     Under exponential utility it runs at z = 0, as the grid solver does, and
     scales the value by exp(-alpha * z), so a large |z| cannot make every
     candidate overflow or underflow to the same value.  A forward pass gives
-    each node at dates 0..T-2 its reachable states, and a backward pass sums
-    the date-(T-1) children with ``_kernels._leaf_sum``.
+    each node at dates 0..T-2 its reachable states as flat arrays.  A
+    date-(T-2) node scores its trades with ``_kernels.sweep_exact``'s
+    candidate through the kernels' block path, so it never holds all its
+    date-(T-1) states and memory grows with |A|^(T-2) for the action set A;
+    an earlier node sums its children's values.  Each keeps the first maximum
+    in ``_tie_key`` order with the sweeps' ``_kernels._scan``.
     """
     acts = [float(a) for a in actions]
     if not acts:
@@ -615,35 +627,29 @@ def exact_state_dp(
         raise ValueError("actions must be finite")
     acts.sort(key=_tie_key)  # stable, so the first maximum wins as in the sweeps
     H = np.array(acts)[:, None]
-
-    def step(node, child, xi, zeta, x):
-        # state j * n + i of the child is state i of the node after action j
-        xi1, ze1 = transition(xi, zeta, H, abs(H), math.exp(-node.r), child.P, child.delta)
-        return xi1, ze1, x + H
-
+    closed = (*u.kernel_encoding(), _run_z(u, z))
     states = {tree.root.id: (np.zeros(1), np.full(1, tree.zeta0), np.zeros(1))}
     values, best = {}, {}
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for t in range(tree.T - 2):
             for node in tree.nodes_at(t):
+                xi, zeta, x = states[node.id]
                 for child in tree.children(node.id):
-                    states[child.id] = tuple(a.ravel() for a in step(node, child, *states[node.id]))
+                    # state j * n + i of the child is state i of the node after action j
+                    xi1, ze1 = transition(xi, zeta, H, abs(H), math.exp(-node.r), child.P, child.delta)
+                    states[child.id] = (xi1.ravel(), ze1.ravel(), (x + H).ravel())
         for t in range(tree.T - 2, -1, -1):
             for node in tree.nodes_at(t):
-                tot = 0.0
-                for child in tree.children(node.id):
-                    if t < tree.T - 2:
-                        cont = values.pop(child.id).reshape(len(acts), -1)
-                    else:  # the date-(T-1) states are formed here and not kept
-                        leaves = _fields(tree.children(child.id), "p", "P", "delta", "B")
-                        closed = (math.exp(-child.r), *leaves, *u.kernel_encoding(), _run_z(u, z))
-                        cont = _kernels._leaf_sum(*step(node, child, *states[node.id]), *closed)
-                    tot = tot + child.p * cont
-                cols = np.arange(tot.shape[1])
-                j_best = np.zeros(cols.size, dtype=np.int64)
-                for j in range(1, len(acts)):
-                    j_best = np.where(tot[j] > tot[j_best, cols], j, j_best)
-                values[node.id], best[node.id] = tot[j_best, cols], j_best
+                kids = tree.children(node.id)
+                if t == tree.T - 2:  # the date-(T-1) states are formed a block at a time
+                    cont = _kernels._leaf_cont(*_leaves(tree, kids), *closed)
+                    cand = _kernels._over_children(math.exp(-node.r), *_fields(kids, "p", "P", "delta"), cont)
+                    rows = _kernels._rows(cand, *states[node.id], acts)
+                else:
+                    rows = 0.0
+                    for child in kids:
+                        rows = rows + child.p * values.pop(child.id).reshape(len(acts), -1)
+                values[node.id], best[node.id] = _kernels._scan(rows, range(len(acts)))
 
     def pick(node: TreeNode, xi: float, zeta: float, x: float, hs: tuple) -> float:
         sxi, szeta, sx = states[node.id]

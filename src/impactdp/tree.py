@@ -362,14 +362,17 @@ class PredictableAssignment:
     @classmethod
     def from_report(cls, entries: Sequence[Mapping]) -> "PredictableAssignment":
         """Inverse of ``to_report``: a list of objects with exactly the keys
-        ``node`` (an integer) and ``h`` (a number)."""
+        ``node`` (an integer, each node once) and ``h`` (a number)."""
         if not isinstance(entries, list):
             raise ValueError("a strategy must be a list of {node, h} objects")
         values = {}
         for i, e in enumerate(entries):
             if not isinstance(e, Mapping) or set(e) != {"node", "h"}:
                 raise ValueError(f"strategy entry {i} must be an object with exactly the keys node and h")
-            values[_require_int(e["node"], "node")] = _require_number(e["h"], "h")
+            node = _require_int(e["node"], "node")
+            if node in values:
+                raise ValueError(f"strategy entry {i} lists node {node} a second time")
+            values[node] = _require_number(e["h"], "h")
         return cls(values)
 
 

@@ -226,6 +226,17 @@ def test_evaluate_rejects_a_malformed_strategy(tmp_path, capsys, doc):
     assert err.startswith("error:") and "strategy" in err
 
 
+def test_evaluate_rejects_a_strategy_that_lists_a_node_twice(tmp_path, capsys):
+    # with the last entry kept, this strategy would fail the liquidation check
+    # and the error would name the wrong defect
+    strategy = [{"node": 0, "h": 0.5}, {"node": 1, "h": -0.5}, {"node": 0, "h": 0.25}]
+    strategy_file = tmp_path / "strategy.json"
+    strategy_file.write_text(json.dumps(strategy))
+    code, out, err = run(capsys, "evaluate", "--gen", "det-example", "--strategy", str(strategy_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "node 0 a second time" in err
+
+
 # -- demo --------------------------------------------------------------------
 
 def test_demo_nonconvex_reports_a_positive_margin(capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import impactdp.oracle as oracle
+from impactdp import _kernels
 import impactdp.solver as solver_module
 from impactdp.oracle import (
     ActionGrid,
@@ -225,7 +226,7 @@ def test_brute_force_holds_one_float_per_candidate():
     assert peak <= 16 * res.candidates
 
 
-@pytest.mark.parametrize(
+FIRST_MAX_CASES = pytest.mark.parametrize(
     "scores, want",
     [
         ([math.nan, 1.0, 2.0], 0),  # the first candidate stands even as NaN
@@ -235,8 +236,20 @@ def test_brute_force_holds_one_float_per_candidate():
         ([0.0, -0.0], 0),
     ],
 )
+
+
+@FIRST_MAX_CASES
 def test_first_max_is_the_scan_that_keeps_only_strictly_greater(scores, want):
     assert oracle._first_max(np.array(scores)) == want
+
+
+@FIRST_MAX_CASES
+def test_kernel_scan_keeps_only_strictly_greater(scores, want):
+    # the sweeps' and exact_state_dp's scan, on one state: row k is candidate k
+    rows = np.array(scores)[:, None]
+    best_v, best_i = _kernels._scan(rows, range(len(scores)))
+    assert best_i.tolist() == [want]
+    assert best_v[0].hex() == float(scores[want]).hex()
 
 
 def _scan(tree, u, z, grid):

@@ -3,9 +3,11 @@
 import gc
 import hashlib
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -602,17 +604,47 @@ def test_exact_state_dp_rejects_non_finite_actions(acts):
         exact_state_dp(generate(preset("binomial")), exponential(1.0), 0.0, acts)
 
 
+FROZEN_41 = ("-0x1.e4e5e5f9acc84p-1", "e980d29d4d03e036f01d5d8b516a7c98dabbacf1602442df9f0987db6f4f8301")
+
+
+def frozen_41_bits():
+    """The value's hex and the strategy's SHA-256 of ``exact_state_dp`` on
+    binomial T = 4 with 41 actions, and the root trade."""
+    tree = generate(preset("binomial", T=4, p_up=0.79, resilience=0.29))
+    value, strategy = exact_state_dp(tree, exponential(1.0), 0.0, [k / 20 for k in range(-20, 21)])
+    pairs = " ".join(f"{n} {h.hex()}" for n, h in sorted(strategy.values.items()))
+    return (value.hex(), hashlib.sha256(pairs.encode()).hexdigest()), strategy.trade_at(0)
+
+
 def test_exact_state_dp_matches_frozen_bits_on_41_actions_at_T4():
     # 41**3 states at each date-(T-1) node; the bits are those the memoised
     # scalar recursion gave before the array passes replaced it
-    tree = generate(preset("binomial", T=4, p_up=0.79, resilience=0.29))
-    value, strategy = exact_state_dp(tree, exponential(1.0), 0.0, [k / 20 for k in range(-20, 21)])
-    assert value.hex() == "-0x1.e4e5e5f9acc84p-1"
-    assert strategy.trade_at(0) == 0.15
-    pairs = " ".join(f"{n} {h.hex()}" for n, h in sorted(strategy.values.items()))
-    assert hashlib.sha256(pairs.encode()).hexdigest() == (
-        "e980d29d4d03e036f01d5d8b516a7c98dabbacf1602442df9f0987db6f4f8301"
-    )
+    bits, root_trade = frozen_41_bits()
+    assert bits == FROZEN_41
+    assert root_trade == 0.15
+
+
+@pytest.mark.parametrize("trades", [1, 2, 3, 41])
+def test_exact_state_dp_bits_do_not_depend_on_the_block_size(monkeypatch, trades):
+    # 41**2 states at each date-(T-2) node, scored 1, 2, 3 or all 41 trades
+    # per candidate call
+    monkeypatch.setattr(_kernels, "_BLOCK", trades * 41**2)
+    assert frozen_41_bits() == (FROZEN_41, 0.15)
+
+
+def test_exact_state_dp_holds_one_block_of_date_T_minus_1_states():
+    # 21**3 states at each date-(T-2) node; all their date-(T-1) states at
+    # once took 23 MB
+    tree = generate(preset("binomial", T=5))
+    args = (tree, exponential(1.0), 0.0, [k / 10 for k in range(-10, 11)])
+    exact_state_dp(*args)
+    tracemalloc.start()
+    try:
+        exact_state_dp(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 @st.composite
@@ -686,6 +718,11 @@ def test_exact_state_dp_matches_history_dp_whatever_the_action_order(tree, u, z,
     doubled = shuffled[:at] + [data.draw(st.sampled_from(acts))] + shuffled[at:]
     for variant in (shuffled, doubled):
         assert _bits(exact_state_dp(tree, u, z, variant)) == _bits(got)
+    # nor on how many trades one candidate call scores: 1, 2, 3 or all
+    states = len(acts) ** (tree.T - 2)  # at every date-(T-2) node
+    for size in (1, 2, 3, len(acts)):
+        with mock.patch.object(_kernels, "_BLOCK", size * states):
+            assert _bits(exact_state_dp(tree, u, z, acts)) == _bits(got)
 
 
 # -- affine cash tails -------------------------------------------------------

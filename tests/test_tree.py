@@ -241,6 +241,13 @@ def test_assignment_report_round_trip():
     assert a.trade_at(0) == 0.5
 
 
+def test_assignment_report_rejects_a_node_listed_twice():
+    # a second entry for node 0 must not silently replace the first
+    report = [{"node": 0, "h": 0.5}, {"node": 1, "h": -0.5}, {"node": 0, "h": 0.25}]
+    with pytest.raises(ValueError, match="strategy entry 2 lists node 0 a second time"):
+        PredictableAssignment.from_report(report)
+
+
 def test_assignment_shared_across_siblings_by_construction():
     # trades are keyed by the deciding node, so both children of one node see
     # the same trade by construction
