@@ -133,22 +133,24 @@ def _kappa_core(
     rsums: Sequence[float],
     deltas: Sequence[float],
     price: float,
-    h: Sequence[float],
-) -> float:
+    h: Sequence,
+):
     """Cash innovation of the last trade in ``h`` given per-path prefix data.
 
     ``rsums`` are left-fold prefix sums of the resilience rates (rsums[0]=0,
     length >= len(h)+1), ``deltas[j-1]`` is the depth met by trade j, ``price``
-    is the midprice at the date of the last trade.  Kept free of array types so
-    oracle walks can call it with incrementally built lists and reproduce the
-    exact floats of the path-based API.
+    is the midprice at the date of the last trade.  The trades may be floats or
+    broadcastable arrays, and both take the same operations in the same order,
+    so the evaluation walk, which gives each ancestor's trades an axis of their
+    own, reproduces entry by entry the exact floats of the path-based API.
     """
     t = len(h)
     s = float(rsums[t])
     acc = math.exp(-(s - float(rsums[0]))) * zeta0
     for j in range(1, t + 1):
-        acc += math.exp(-(s - float(rsums[j]))) / float(deltas[j - 1]) * abs(float(h[j - 1]))
-    last = float(h[t - 1])
+        # not +=: a later trade may carry an axis the sum so far lacks
+        acc = acc + math.exp(-(s - float(rsums[j]))) / float(deltas[j - 1]) * abs(h[j - 1])
+    last = h[t - 1]
     return -price * last - abs(last) * acc
 
 
@@ -162,7 +164,7 @@ def cash_innovation(path: MarketPath, h: Sequence[float]) -> float:
     t = len(h)
     if not 1 <= t <= path.T:
         raise ValueError(f"history length must be in 1..{path.T}, got {t}")
-    return _kappa_core(path.zeta0, path._rsums, path.delta, float(path.P[t]), h)
+    return float(_kappa_core(path.zeta0, path._rsums, path.delta, float(path.P[t]), [float(v) for v in h]))
 
 
 def innovation_envelope(p_t: float, delta_t: float, h_t: float) -> InnovationEnvelope:
@@ -179,14 +181,16 @@ def innovation_envelope(p_t: float, delta_t: float, h_t: float) -> InnovationEnv
     return InnovationEnvelope(value, cap)
 
 
-def closing_trade(h: Sequence[float]) -> float:
-    """Final trade that returns the position to exactly zero after trades h."""
+def closing_trade(h: Sequence):
+    """Final trade that returns the position to exactly zero after trades h.
+
+    The trades may be floats or broadcastable arrays.  Adding 0.0 to the
+    negated sum turns a -0.0 into 0.0, so closing a flat position trades 0.0.
+    """
     total = 0.0
     for v in h:
-        total = total + float(v)
-    if total == 0.0:
-        return 0.0
-    return -total
+        total = total + v
+    return -total + 0.0
 
 
 def terminal_wealth_explicit(path: MarketPath, trades: Sequence[float]) -> float:

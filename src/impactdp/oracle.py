@@ -2,27 +2,33 @@
 
 Two independent computations of the same maximum: ``brute_force_solve``
 enumerates every strategy on a finite action grid and keeps the best, while
-``history_dp`` maximizes node by node over trade histories.  Both are
-subclasses of the evaluation walk ``solver._Walk`` that override only its
-``decide`` step, so they run the same arithmetic, and expected value is
-monotone in each subtree value, so the two values are equal to the last bit:
-the ground truth the grid solver is tested against.  Both keep the first
-maximum in ``solver._tie_key`` order, but of the root's float (brute force) or
-each subtree's (``history_dp``), so their strategies can differ.
+``history_dp`` maximizes node by node over trade histories.  Both run on the
+evaluation walk ``solver._Walk``, ``history_dp`` through a subclass that
+overrides only its ``decide`` step, so they run the same arithmetic, and
+expected value is monotone in each subtree value, so the two values are equal
+to the last bit: the ground truth the grid solver is tested against.  Both
+keep the first maximum in ``solver._tie_key`` order, but of the root's float
+(brute force) or each subtree's (``history_dp``), so their strategies can
+differ.
 
-Enumeration does not replay the whole tree for every candidate.  Its walk
-decides each (decision node, trade history) once, into an array over every
-combination of the free trades in the node's subtree, and adds children's
-arrays by broadcasting, entry by entry with the floats of the scalar walk.
-The root's array thus holds every candidate's replay value, in enumeration
-order, at 8 bytes a candidate; brute force keeps the first candidate, then
-only a strictly greater value, so a NaN never wins after the first.
+Neither replays the tree per candidate or per trade history: one visit per
+node scores every history.  Each decision node trades its whole grid, in
+``_tie_key`` order, on an axis of its own, with size 1 on every other axis,
+and the walk's arithmetic broadcasts, entry by entry with the floats of a
+walk that plays one history alone.  Brute force gives decision node a the
+axis a of ``tree.decision_ids()`` and keeps every axis, so the root's value,
+read in C order, is every candidate's replay value in enumeration order, at 8
+bytes a candidate; it keeps the first candidate, then only a strictly greater
+value, so a NaN never wins after the first.  ``history_dp`` gives a date-t
+node the axis t and reduces it at the node, so a node's arrays run over its
+ancestors' trades only.
 
 Both oracles, and ``enumerate_strategies``, decide only the free trades at
 dates 0..T-2.  The exact-state walk of the forward pass,
 ``solver._exact_walk``, completes them to a strategy: it reads each free
-trade off its node id (enumeration) or its node and trade history
-(``history_dp``), and adds the forced closing trade at date T-1.
+trade off its node id (enumeration) or, as the slots of its node's trade
+history, off the node's choices (``history_dp``), and adds the forced closing
+trade at date T-1.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import _kernels
 from .solver import _cara_shift, _exact_walk, _run_z, _tie_key, _Walk, evaluate_strategy
 from .tree import PredictableAssignment, ScenarioTree
 from .utility import UtilitySpec
@@ -52,7 +59,7 @@ DEFAULT_CAP = 10_000_000
 
 
 class CapacityError(RuntimeError):
-    """Raised when an enumeration would exceed the candidate cap."""
+    """Raised when an oracle would exceed the candidate cap."""
 
 
 @dataclass(frozen=True)
@@ -129,36 +136,23 @@ def enumerate_strategies(tree: ScenarioTree, grid: ActionGrid, cap: int = DEFAUL
         yield _completed(tree, dict(zip(ids, combo)))
 
 
-class _Scores(_Walk):
-    """The walk of brute force: a decision node's value is one float64 array
-    over every combination of the free trades in its subtree.
+def _on_axes(order: list, axis: Mapping[int, int]) -> tuple[dict, dict]:
+    """Each decision node's axis and its trades ``order`` as an array on that
+    axis, of size 1 on every other.  A one-trade grid puts every node on axis
+    0, since NumPy holds at most 64 axes and all would be of size 1."""
+    if len(order) == 1:
+        axis = dict.fromkeys(axis, 0)
+    ndim = max(axis.values(), default=-1) + 1
+    return axis, {n: np.array(order).reshape((1,) * a + (-1,) + (1,) * (ndim - 1 - a)) for n, a in axis.items()}
 
-    The array has an axis per decision node, in ``tree.decision_ids()``
-    order, of size ``len(grid)`` on the node's own axis and on its subtree's
-    and 1 elsewhere; leading axes of size 1 may be left out, since NumPy
-    broadcasts from the right.  Slot k of the node's own axis holds
-    ``child_sum`` of the k-th trade in ``_tie_key`` order, written in as it
-    is made.  ``child_sum`` adds its children's arrays by broadcasting, each
-    entry with the floats of the scalar walk, so the root's array read in C
-    order is every candidate's replay in ``_combos`` order.
-    """
 
-    def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float, grid: ActionGrid) -> None:
-        super().__init__(tree, u, z, {})
-        ids = tree.decision_ids()
-        self.order = sorted(grid.values, key=_tie_key)
-        # the index that picks slot k of a node's axis reads (..., k, *after)
-        self.after = {i: (slice(None),) * (len(ids) - 1 - a) for a, i in enumerate(ids)}
-
-    def decide(self, node, rsums, deltas, hs, wealth):
-        after = self.after[node.id]
-        out = None
-        for k, h in enumerate(self.order):
-            part = self.child_sum(node, rsums, deltas, hs, wealth, h)
-            if out is None:
-                out = np.empty(np.broadcast_shapes(np.shape(part), (len(self.order),) + (1,) * len(after)))
-            out[(..., slice(k, k + 1), *after)] = part
-        return out
+def _scores(tree: ScenarioTree, u: UtilitySpec, z: float, ids: list, order: list) -> np.ndarray:
+    """Every candidate's score in ``_combos`` order: the root value of the
+    walk in which decision node ``ids[a]`` trades ``order`` on axis a, read
+    in C order."""
+    _, trades = _on_axes(order, {i: a for a, i in enumerate(ids)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.ravel(_Walk(tree, u, z, trades).root_value())
 
 
 def _first_max(scores: np.ndarray) -> int:
@@ -182,43 +176,49 @@ def brute_force_solve(
     candidates are scored at z = 0 and the best value is scaled by
     exp(-alpha * z), as in the grid solver.
 
-    One walk scores every candidate: each (decision node, trade history) is
-    decided once, into an array over its subtree's trades (``_Scores``), and
-    the root's array holds each candidate's score, the float a full replay of
-    its strategy gives, in enumeration order.  It takes 8 bytes a candidate,
-    about 80 MB at ``DEFAULT_CAP``.
+    One walk scores every candidate, with one visit per node: decision node
+    a trades the whole grid, in ``_tie_key`` order, on axis a of
+    ``tree.decision_ids()``, so the root's value is an array with an axis per
+    decision node that, read in C order, holds each candidate's score, the
+    float a full replay of its strategy gives, in enumeration order.  It
+    takes 8 bytes a candidate, about 80 MB at ``DEFAULT_CAP``.
     """
     ids, _ = _combos(tree, grid, cap)
-    walk = _Scores(tree, u, _run_z(u, z), grid)
-    with np.errstate(over="ignore"):
-        scores = np.ravel(walk.root_value())
+    order = sorted(grid.values, key=_tie_key)
+    scores = _scores(tree, u, _run_z(u, z), ids, order)
     i = _first_max(scores)
-    picks = np.unravel_index(i, (len(grid),) * len(ids))
-    best = {node: walk.order[k] for node, k in zip(ids, picks)}
+    # candidate i trades slot (i // n**(D-1-a)) % n at decision node a
+    n, D = len(order), len(ids)
+    best = {node: order[i // n ** (D - 1 - a) % n] for a, node in enumerate(ids)}
     value = _cara_shift(u, float(scores[i]), z)
     return OracleResult(value=value, strategy=_completed(tree, best), candidates=scores.size)
 
 
 class _Search(_Walk):
-    """The walk of ``history_dp``: each free-choice node takes the first
-    maximum over the grid in ``_tie_key`` order, given the trades made so
-    far, and records it in ``choice`` under (node id, trade history)."""
+    """The walk of ``history_dp``: a decision node at date t trades the grid,
+    in ``_tie_key`` order, on axis t of T-1, so its scores run over every
+    trade history above it and over its own trade.  For each history it keeps
+    the first trade that beats -inf and every earlier trade (the kernels'
+    ``_scan`` behind a row of -inf), records that trade's slot, or -1 where
+    none does, in ``choice[node id]``, flat over the histories in C order, and
+    returns the kept scores with a size-1 axis t (axis 0 for a one-trade
+    grid, see ``_on_axes``)."""
 
     def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float, grid: ActionGrid) -> None:
-        super().__init__(tree, u, z, {})
         self.order = sorted(grid.values, key=_tie_key)
-        self.choice: dict[tuple, float] = {}
+        self.axis, trades = _on_axes(self.order, {i: tree.node(i).t for i in tree.decision_ids()})
+        super().__init__(tree, u, z, trades)
+        self.choice: dict[int, np.ndarray] = {}
         self.evaluations = 0
 
     def decide(self, node, rsums, deltas, hs, wealth):
-        # 0.0 comes first, so it stands when no trade beats -inf
-        best_v, best_h = -math.inf, 0.0
-        for h in self.order:
-            v = self.child_sum(node, rsums, deltas, hs, wealth, h)
-            if v > best_v:
-                best_v, best_h = v, h
-        self.evaluations += len(self.order)
-        self.choice[(node.id, hs)] = best_h
+        a = self.axis[node.id]
+        scores = super().decide(node, rsums, deltas, hs, wealth)
+        rows = (scores[(slice(None),) * a + (slice(k, k + 1),)] for k in range(len(self.order)))
+        floor = np.full(scores.shape[:a] + (1,) + scores.shape[a + 1 :], -math.inf)
+        best_v, best_k = _kernels._scan(itertools.chain([floor], rows), range(-1, len(self.order)))
+        self.choice[node.id] = best_k.ravel()
+        self.evaluations += scores.size
         return best_v
 
 
@@ -232,14 +232,31 @@ def history_dp(
     (|h|, sign) order of enumeration.  Expected value is monotone in every
     subtree value and all arithmetic is shared with enumeration, so the
     returned value (not the strategy) matches ``brute_force_solve`` bit for
-    bit, also under exponential utility, where both run at z = 0.
+    bit, also under exponential utility, where both run at z = 0.  One visit
+    per node decides every trade history at once (``_Search``), so its widest
+    arrays, at dates T-2 and T-1, hold ``len(grid) ** (T - 1)`` floats; a
+    count beyond enumeration's ``DEFAULT_CAP`` raises ``CapacityError``
+    before any work is done.
     """
+    widest = len(grid) ** max(tree.T - 1, 0)
+    if widest > DEFAULT_CAP:
+        raise CapacityError(f"{len(grid)}^{tree.T - 1} = {widest} trade histories exceeds the cap of {DEFAULT_CAP}")
     walk = _Search(tree, u, _run_z(u, z), grid)
-    with np.errstate(over="ignore"):
-        value = walk.root_value()
-    # a child decides once per parent candidate, so choices are keyed by the
-    # trade history, which the exact-state walk hands to its pick
-    strategy = _exact_walk(tree, lambda node, xi, zeta, x, hs: walk.choice[(node.id, hs)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.ravel(walk.root_value())[0])
+    # the exact-state walk hands each node its trade history, read back as
+    # slots; slot -1, where no trade beat -inf, trades 0.0, the first in order
+    order, choice = walk.order, walk.choice
+    slot = {h: k for k, h in enumerate(order)}
+    trades = (*order, 0.0)
+
+    def pick(node, xi, zeta, x, hs):
+        i = 0
+        for h in hs:
+            i = i * len(order) + slot[h]
+        return trades[choice[node.id][i]]
+
+    strategy = _exact_walk(tree, pick)
     return OracleResult(value=_cara_shift(u, value, z), strategy=strategy, candidates=walk.evaluations)
 
 

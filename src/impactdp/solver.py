@@ -26,13 +26,13 @@ exp(-alpha*xi') * W(zeta', x'), exact along xi with no cash clamp and no
 utility floor (``_kernels`` has the details).  ``one_step_optimize`` runs the
 node at xi = z = 0 and scales the value to the state's cash plus z.  Cap and
 pwl layers keep the cash axis and z.  ``exact_state_dp`` and the oracles use
-no grid at all: ``exact_state_dp`` takes the exact states an action set A
-reaches as arrays, one date at a time, and scores the trades of each
+no grid at all: ``exact_state_dp`` hands each node, depth first, the exact
+states an action set A reaches as arrays, and scores the trades of each
 date-(T-2) node with ``sweep_exact``'s candidate, block path and first-maximum
-scan, so its memory grows with |A|^(T-2), while the oracles walk trade
-histories in pure Python.  Under exponential utility they run at z = 0 as well
-and scale their value by exp(-alpha*z), and ``solve`` takes its value gap at
-z = 0.
+scan, so its memory grows with |A|^(T-2), while the oracles score every trade
+history on broadcast arrays, one visit per node.  Under exponential utility
+they run at z = 0 as well and scale their value by exp(-alpha*z), and
+``solve`` takes its value gap at z = 0.
 
 Cap and pwl utilities have slope one at and below their kink
 (``UtilitySpec.kink``), and no trade adds more cash than the innovation
@@ -62,16 +62,18 @@ an iid tree sweeps each distinct subtree once.
 ``evaluate_strategy`` walks the tree with the explicit cash-innovation form.
 The walk, ``_Walk``, is the single evaluation path shared with the exhaustive
 oracles, which is what makes oracle cross-checks exact rather than
-approximate: ``evaluate_strategy``, brute force and ``history_dp`` differ only
-in ``decide``, the value of a decision node before date T-1.  ``_Walk``
-itself plays a fixed strategy, brute force scores every candidate at once
-with a ``decide`` that gives an array over the free trades of the node's
-subtree, and ``history_dp`` maximizes over its grid.  A rule for the free
+approximate.  It visits each node once, and its trades may be floats or
+broadcast arrays: ``evaluate_strategy`` plays floats, while each oracle gives
+every decision node its whole grid on an axis of its own, so that one visit
+per node scores every trade history.  Brute force puts decision node a on axis
+a of ``tree.decision_ids()`` and keeps every axis, and ``history_dp`` puts a
+date-t node on axis t and maximizes over it in ``decide``.  A rule for the free
 trades becomes a full strategy in one more walk, ``_exact_walk``: it carries
 each node's exact state and trade history, asks the rule for the trade before
 date T-1 and closes the position at T-1.  ``forward_extract``,
-``exact_state_dp`` and both oracles complete their strategies there.  ``solve`` certifies its answer when
-root and replay differ by at most ``VALUE_TOL`` relative to 1 + |root|.
+``exact_state_dp`` and both oracles complete their strategies there.
+``solve`` certifies its answer when root and replay differ by at most
+``VALUE_TOL`` relative to 1 + |root|.
 """
 
 from __future__ import annotations
@@ -528,8 +530,15 @@ def evaluate_strategy(
     Wealth along every path is accumulated date by date with the explicit
     cash-innovation form; the expectation is the nested sum over children in
     ascending id order.  The oracles run through this same code path, which is
-    what makes their agreement exact.
+    what makes their agreement exact.  A trade at a leaf or at a node id the
+    tree does not have raises ``ValueError`` naming the node.
     """
+    ids = set(tree.node_ids())
+    for n in assignment.values:
+        if n not in ids:
+            raise ValueError(f"strategy trades at node {n}, which the tree does not have")
+        if tree.node(n).t >= tree.T:
+            raise ValueError(f"strategy trades at node {n}, a leaf, where nothing is traded")
     if not assignment.is_complete(tree):
         raise ValueError("strategy must assign a trade to every non-leaf node")
     if not assignment.is_liquidating(tree):
@@ -541,50 +550,56 @@ def evaluate_strategy(
 
 def _replay(tree: ScenarioTree, assignment: PredictableAssignment, u: UtilitySpec, z: float) -> float:
     """``evaluate_strategy`` without its checks on the strategy."""
-    return _Walk(tree, u, z, assignment.values).root_value()
+    return _Walk(tree, u, z, {n: float(h) for n, h in assignment.values.items()}).root_value()
 
 
 class _Walk:
-    """The exact evaluation walk over trade histories.
+    """The exact evaluation walk, one visit per node.
 
     Wealth is accumulated child by child with the explicit cash-innovation
     form, leaves score terminal utility at endowment ``z``, the position is
     closed at date T-1, and ``decide`` gives the value of a node before T-1.
-    This walk's ``decide`` plays the fixed free trades ``trades``, by node id;
-    a subclass says otherwise by overriding it, as brute force does with a
-    ``decide`` that returns an array over every free trade in the subtree,
-    which ``child_sum`` adds like a float.  A walk holds no reference to
-    itself, so whatever tables a subclass fills go with it, also when the
-    walk raises.
+    This walk's ``decide`` trades ``trades[node id]``.  A trade is a float or
+    an array: ``_kappa_core``, ``closing_trade`` and the utility take both
+    with the same operations in the same order.  So when each decision node
+    trades its whole action grid on an axis of its own, with size 1 on every
+    other axis, one visit per node scores every trade history: a node's
+    arrays run over the axes of its ancestors' trades, and its value over
+    those of its subtree's as well, each entry the float a walk that plays
+    that history alone gives.  ``evaluate_strategy`` plays floats, brute force
+    gives decision node a the axis a of ``tree.decision_ids()``, and
+    ``history_dp`` gives a date-t node the axis t and reduces it in its own
+    ``decide``.  A walk holds no reference to itself, so whatever tables a
+    subclass fills go with it, also when the walk raises.
     """
 
-    def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float, trades: Mapping[int, float]) -> None:
+    def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float, trades: Mapping[int, float | np.ndarray]) -> None:
         self.tree, self.u, self.z, self.trades = tree, u, z, trades
 
-    def root_value(self) -> float:
+    def root_value(self):
         return self.node_value(self.tree.root, (0.0,), (), (), 0.0)
 
-    def node_value(self, node: TreeNode, rsums: tuple, deltas: tuple, hs: tuple, wealth: float) -> float:
+    def node_value(self, node: TreeNode, rsums: tuple, deltas: tuple, hs: tuple, wealth):
         if node.t == self.tree.T:
-            return float(self.u(self.z + wealth - node.B))
+            return self.u(self.z + wealth - node.B)
         if node.t == self.tree.T - 1:
             return self.child_sum(node, rsums, deltas, hs, wealth, closing_trade(hs))
         return self.decide(node, rsums, deltas, hs, wealth)
 
-    def child_sum(self, node: TreeNode, rsums: tuple, deltas: tuple, hs: tuple, wealth: float, h: float) -> float:
+    def child_sum(self, node: TreeNode, rsums: tuple, deltas: tuple, hs: tuple, wealth, h):
         """Expected value over the children of ``node`` after trading ``h``."""
         tree = self.tree
         rs = rsums + (rsums[-1] + float(node.r),)
-        hs = hs + (float(h),)
+        hs = hs + (h,)
         acc = 0.0
         for child in tree.children(node.id):
             ds = deltas + (float(child.delta),)
             kap = _kappa_core(tree.zeta0, rs, ds, float(child.P), hs)
-            # not +=: a subclass's values may be arrays of different shapes
+            # not +=: the children's values may be arrays of different shapes
             acc = acc + child.p * self.node_value(child, rs, ds, hs, wealth + kap)
         return acc
 
-    def decide(self, node: TreeNode, rsums: tuple, deltas: tuple, hs: tuple, wealth: float) -> float:
+    def decide(self, node: TreeNode, rsums: tuple, deltas: tuple, hs: tuple, wealth):
         return self.child_sum(node, rsums, deltas, hs, wealth, self.trades[node.id])
 
 
@@ -612,13 +627,16 @@ def exact_state_dp(
     oracle to float accuracy on any instance small enough to enumerate.
     Under exponential utility it runs at z = 0, as the grid solver does, and
     scales the value by exp(-alpha * z), so a large |z| cannot make every
-    candidate overflow or underflow to the same value.  A forward pass gives
-    each node at dates 0..T-2 its reachable states as flat arrays.  A
-    date-(T-2) node scores its trades with ``_kernels.sweep_exact``'s
-    candidate through the kernels' block path, so it never holds all its
-    date-(T-1) states and memory grows with |A|^(T-2) for the action set A;
-    an earlier node sums its children's values.  Each keeps the first maximum
-    in ``_tie_key`` order with the sweeps' ``_kernels._scan``.
+    candidate overflow or underflow to the same value.  One depth-first pass
+    hands each node its reachable states as flat arrays, state j * n + i of a
+    child being state i of its n-state parent after action j, and scores the
+    node when its subtree is done.  A date-(T-2) node scores its trades with
+    ``_kernels.sweep_exact``'s candidate through the kernels' block path, so
+    it never holds all its date-(T-1) states, and its states go once it is
+    scored: memory grows with |A|^(T-2) for the action set A.  An earlier
+    node sums its children's values.  Each keeps the first maximum in
+    ``_tie_key`` order with the sweeps' ``_kernels._scan``, and the strategy
+    walk reads each node's trade at its state's index.
     """
     acts = [float(a) for a in actions]
     if not acts:
@@ -626,36 +644,45 @@ def exact_state_dp(
     if not all(map(math.isfinite, acts)):
         raise ValueError("actions must be finite")
     acts.sort(key=_tie_key)  # stable, so the first maximum wins as in the sweeps
-    H = np.array(acts)[:, None]
     closed = (*u.kernel_encoding(), _run_z(u, z))
-    states = {tree.root.id: (np.zeros(1), np.full(1, tree.zeta0), np.zeros(1))}
-    values, best = {}, {}
+    best: dict[int, np.ndarray] = {}
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for t in range(tree.T - 2):
-            for node in tree.nodes_at(t):
-                xi, zeta, x = states[node.id]
-                for child in tree.children(node.id):
-                    # state j * n + i of the child is state i of the node after action j
-                    xi1, ze1 = transition(xi, zeta, H, abs(H), math.exp(-node.r), child.P, child.delta)
-                    states[child.id] = (xi1.ravel(), ze1.ravel(), (x + H).ravel())
-        for t in range(tree.T - 2, -1, -1):
-            for node in tree.nodes_at(t):
-                kids = tree.children(node.id)
-                if t == tree.T - 2:  # the date-(T-1) states are formed a block at a time
-                    cont = _kernels._leaf_cont(*_leaves(tree, kids), *closed)
-                    cand = _kernels._over_children(math.exp(-node.r), *_fields(kids, "p", "P", "delta"), cont)
-                    rows = _kernels._rows(cand, *states[node.id], acts)
-                else:
-                    rows = 0.0
-                    for child in kids:
-                        rows = rows + child.p * values.pop(child.id).reshape(len(acts), -1)
-                values[node.id], best[node.id] = _kernels._scan(rows, range(len(acts)))
+        states = (np.zeros(1), np.full(1, tree.zeta0), np.zeros(1))
+        root = _exact_score(tree, tree.root, states, acts, closed, best)
+    index = {tree.root.id: 0}  # node id -> the walk's state among the node's states
 
     def pick(node: TreeNode, xi: float, zeta: float, x: float, hs: tuple) -> float:
-        sxi, szeta, sx = states[node.id]
-        return acts[best[node.id][np.flatnonzero((sxi == xi) & (szeta == zeta) & (sx == x))[0]]]
+        i = index.pop(node.id)
+        j = int(best.pop(node.id)[i])
+        for child in tree.children(node.id):
+            index[child.id] = j * len(acts) ** node.t + i
+        return acts[j]
 
-    return _cara_shift(u, float(values[tree.root.id][0]), z), _exact_walk(tree, pick)
+    return _cara_shift(u, float(root[0]), z), _exact_walk(tree, pick)
+
+
+def _exact_score(
+    tree: ScenarioTree, node: TreeNode, states: tuple, acts: list, closed: tuple, best: dict
+) -> np.ndarray:
+    """``exact_state_dp``'s value of ``node`` at each of its ``states``
+    (xi, zeta, x), with the slot of each state's first maximum among
+    ``acts`` put in ``best`` under the node's id, and so for its subtree."""
+    kids = tree.children(node.id)
+    if node.t == tree.T - 2:  # the date-(T-1) states are formed a block at a time
+        cont = _kernels._leaf_cont(*_leaves(tree, kids), *closed)
+        cand = _kernels._over_children(math.exp(-node.r), *_fields(kids, "p", "P", "delta"), cont)
+        rows = _kernels._rows(cand, *states, acts)
+    else:
+        xi, zeta, x = states
+        H = np.array(acts)[:, None]
+        rows, x1 = 0.0, (x + H).ravel()
+        for child in kids:
+            # state j * n + i of the child is state i of the node after action j
+            xi1, ze1 = transition(xi, zeta, H, abs(H), math.exp(-node.r), child.P, child.delta)
+            value = _exact_score(tree, child, (xi1.ravel(), ze1.ravel(), x1), acts, closed, best)
+            rows = rows + child.p * value.reshape(len(acts), -1)
+    value, best[node.id] = _kernels._scan(rows, range(len(acts)))
+    return value
 
 
 # -- top level --------------------------------------------------------------

@@ -237,6 +237,22 @@ def test_evaluate_rejects_a_strategy_that_lists_a_node_twice(tmp_path, capsys):
     assert err.startswith("error:") and "node 0 a second time" in err
 
 
+@pytest.mark.parametrize(
+    "node, message",
+    [(2, "node 2, a leaf"), (99, "node 99, which the tree does not have")],
+    ids=["leaf", "unknown-node"],
+)
+def test_evaluate_rejects_a_trade_the_tree_cannot_hold(tmp_path, capsys, node, message):
+    # det-example has nodes 0 and 1 before its leaf 2; a trade elsewhere was
+    # once ignored and echoed back as part of the strategy
+    strategy = [{"node": 0, "h": 0.5}, {"node": 1, "h": -0.5}, {"node": node, "h": 7.0}]
+    strategy_file = tmp_path / "strategy.json"
+    strategy_file.write_text(json.dumps(strategy))
+    code, out, err = run(capsys, "evaluate", "--gen", "det-example", "--strategy", str(strategy_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 # -- demo --------------------------------------------------------------------
 
 def test_demo_nonconvex_reports_a_positive_margin(capsys):

@@ -21,7 +21,8 @@ from impactdp.oracle import (
     history_dp,
     oracles_agree,
 )
-from impactdp.solver import _cara_shift, _replay, _run_z, evaluate_strategy
+from impactdp.dynamics import terminal_wealth_explicit
+from impactdp.solver import _cara_shift, _replay, _run_z, _tie_key, evaluate_strategy
 from impactdp.tree import GeneratorSpec, ScenarioTree, TreeNode, generate, preset
 from impactdp.utility import capped_linear, exponential, piecewise_linear
 from test_solver import PROPERTY_UTILITIES, small_trees
@@ -95,6 +96,13 @@ def test_brute_force_propagates_capacity_error():
         brute_force_solve(tree, exponential(1.0), 0.0, GRID5, cap=1000)
 
 
+def test_history_dp_refuses_more_trade_histories_than_the_cap():
+    # a date-(T-2) node would hold a float per trade history and trade, 5**11
+    spec = GeneratorSpec(kind="deterministic", T=12, prices=(1.0,) * 13)
+    with pytest.raises(CapacityError, match="5\\^11 = 48828125 trade histories exceeds the cap of 10000000"):
+        history_dp(generate(spec), exponential(1.0), 0.0, GRID5)
+
+
 # -- oracle agreement --------------------------------------------------------
 
 
@@ -149,6 +157,7 @@ def test_tie_break_prefers_selling_between_equal_magnitudes():
     res = brute_force_solve(tree, u, 0.0, ActionGrid((-0.5, 0.5, 0.0)))
     assert res.value == -100.0
     assert res.strategy.trade_at(0) == 0.0  # smallest magnitude wins the tie
+    assert history_dp(tree, u, 0.0, ActionGrid((-0.5, 0.5, 0.0))).strategy.trade_at(0) == 0.0
     # with zero excluded by construction impossible, compare the key order
     from impactdp.solver import _tie_key
 
@@ -175,39 +184,88 @@ UTILITIES = {
 }
 
 
+def nested_reference(tree, u, z):
+    """The expected utility of a strategy written out with scalars: at each
+    leaf u(z + terminal_wealth_explicit(path, trades) - B), and at each other
+    node the sum from 0.0 of p * value over its children in id order."""
+    paths = {leaf.id: tree.extract_path(leaf.id).path for leaf in tree.leaves()}
+
+    def value(node, strategy):
+        if node.t == tree.T:
+            wealth = terminal_wealth_explicit(paths[node.id], strategy.trades_to_leaf(tree, node.id))
+            return float(u(z + wealth - node.B))
+        acc = 0.0
+        for child in tree.children(node.id):
+            acc = acc + child.p * value(child, strategy)
+        return acc
+
+    return lambda strategy: value(tree.root, strategy)
+
+
 @pytest.mark.parametrize("z", [0.0, 0.25])
 @pytest.mark.parametrize("family", sorted(UTILITIES))
 def test_every_candidate_scores_as_its_full_replay(family, z):
-    # the root's array, read in C order, holds each enumerated candidate's
-    # score: the float a full replay of its strategy gives
-    tree = generate(preset("binomial"))
+    # brute force's scores, in C order, and history_dp's value are the floats
+    # a path-by-path evaluation of the enumerated strategies gives; notconvex
+    # has three children a node, so the order of a child sum shows
     u = UTILITIES[family]
     z_run = _run_z(u, z)
-    n = len(tree.decision_ids())
-    with np.errstate(over="ignore"):
-        root = oracle._Scores(tree, u, z_run, GRID5).root_value()
-        replays = [_replay(tree, s, u, z_run).hex() for s in enumerate_strategies(tree, GRID5)]
-    assert root.shape == (len(GRID5),) * n
-    assert [v.hex() for v in root.ravel().tolist()] == replays
-    assert len(replays) == len(GRID5) ** n
+    order = sorted(GRID5.values, key=_tie_key)
+    for name in ("binomial", "notconvex"):
+        tree = generate(preset(name))
+        ids = tree.decision_ids()
+        scores = oracle._scores(tree, u, z_run, ids, order)
+        reference = nested_reference(tree, u, z_run)
+        with np.errstate(over="ignore"):
+            want = [reference(s) for s in enumerate_strategies(tree, GRID5)]
+        assert len(want) == len(GRID5) ** len(ids)
+        assert [v.hex() for v in scores.tolist()] == [v.hex() for v in want]
+        assert history_dp(tree, u, z, GRID5).value.hex() == _cara_shift(u, max(want), z).hex()
 
 
 def test_each_subtree_value_is_computed_at_most_once(monkeypatch):
+    # one visit per node decides every trade history above it at once
     tree = generate(preset("binomial", T=4))
     ids = tree.decision_ids()
-    keys = Counter()
-    real = oracle._Scores.decide
+    visits, decided = Counter(), Counter()
+    real_visit, real_decide = solver_module._Walk.node_value, solver_module._Walk.decide
 
-    def counted(walk, node, rsums, deltas, hs, wealth):
-        keys[(node.id, hs)] += 1
-        return real(walk, node, rsums, deltas, hs, wealth)
+    def visit(walk, node, *args):
+        visits[node.id] += 1
+        return real_visit(walk, node, *args)
 
-    monkeypatch.setattr(oracle._Scores, "decide", counted)
-    res = brute_force_solve(tree, capped_linear(1.0), 0.0, ActionGrid((-1.0, 0.0, 1.0)))
-    assert res.candidates == 3 ** len(ids) == 2187
-    # one call per (decision node, trade history above it), none per candidate
-    assert set(keys.values()) == {1}
-    assert sum(keys.values()) == sum(3 ** tree.node(i).t for i in ids) == 1 + 2 * 3 + 4 * 9
+    def decide(walk, node, *args):
+        decided[node.id] += 1
+        return real_decide(walk, node, *args)
+
+    monkeypatch.setattr(solver_module._Walk, "node_value", visit)
+    monkeypatch.setattr(solver_module._Walk, "decide", decide)
+    grid = ActionGrid((-1.0, 0.0, 1.0))
+    brute = brute_force_solve(tree, capped_linear(1.0), 0.0, grid)
+    assert brute.candidates == 3 ** len(ids) == 2187
+    assert visits == Counter(tree.node_ids()) and decided == Counter(ids)
+    visits.clear()
+    decided.clear()
+    dp = history_dp(tree, capped_linear(1.0), 0.0, grid)
+    assert dp.candidates == sum(3 ** (tree.node(i).t + 1) for i in ids) == 3 + 2 * 9 + 4 * 27
+    assert visits == Counter(tree.node_ids()) and decided == Counter(ids)
+    assert dp.value == brute.value
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GeneratorSpec(kind="binomial", T=8), GeneratorSpec(kind="deterministic", T=70, prices=(1.0,) * 71)],
+    ids=["127-decision-nodes", "69-dates"],
+)
+def test_a_one_trade_grid_runs_where_numpy_cannot_hold_an_axis_per_trade(spec):
+    # NumPy holds at most 64 axes
+    tree = generate(spec)
+    u, grid = capped_linear(1.0), ActionGrid((0.0,))
+    brute = brute_force_solve(tree, u, 0.0, grid)
+    dp = history_dp(tree, u, 0.0, grid)
+    assert brute.candidates == 1 and dp.candidates == len(tree.decision_ids())
+    assert brute.value == dp.value == evaluate_strategy(tree, brute.strategy, u, 0.0)
+    assert brute.strategy.values == dp.strategy.values
 
 
 def test_brute_force_holds_one_float_per_candidate():
@@ -349,7 +407,7 @@ def test_an_oracle_that_raises_leaves_no_cycles(monkeypatch, solver):
 
     def failing(*args):
         calls["kappa"] += 1
-        if calls["kappa"] == 40:
+        if calls["kappa"] == 10:  # of one call per edge, 14 on this tree
             raise RuntimeError("injected")
         return real(*args)
 
@@ -359,15 +417,13 @@ def test_an_oracle_that_raises_leaves_no_cycles(monkeypatch, solver):
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        try:
+        with pytest.raises(RuntimeError, match="injected"):
             solver(tree, capped_linear(1.0), 0.0, ActionGrid((-1.0, 0.0, 1.0)))
-        except RuntimeError:
-            pass
         gc.collect()
         garbage = len(gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
-    assert calls["kappa"] == 40
+    assert calls["kappa"] == 10
     assert garbage == 0

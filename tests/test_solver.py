@@ -529,6 +529,11 @@ def test_evaluate_strategy_rejects_incomplete_or_open_strategies():
         evaluate_strategy(tree, PredictableAssignment({0: 0.1}), u, 0.0)
     with pytest.raises(ValueError, match="position to zero"):
         evaluate_strategy(tree, PredictableAssignment({0: 1.0, 1: 0.5}), u, 0.0)
+    # a trade the tree cannot hold is named, not ignored
+    with pytest.raises(ValueError, match="node 2, a leaf"):
+        evaluate_strategy(tree, PredictableAssignment({0: 0.5, 1: -0.5, 2: 7.0}), u, 0.0)
+    with pytest.raises(ValueError, match="node 99, which the tree does not have"):
+        evaluate_strategy(tree, PredictableAssignment({0: 0.5, 1: -0.5, 99: 3.0}), u, 0.0)
 
 
 def test_exact_state_dp_agrees_with_history_indexed_oracle():
@@ -723,6 +728,20 @@ def test_exact_state_dp_matches_history_dp_whatever_the_action_order(tree, u, z,
     for size in (1, 2, 3, len(acts)):
         with mock.patch.object(_kernels, "_BLOCK", size * states):
             assert _bits(exact_state_dp(tree, u, z, acts)) == _bits(got)
+
+
+def test_exact_state_dp_strategy_replays_to_its_value():
+    # the strategy walk reads each node's trade at the state the node scored,
+    # state j * n + i of a child being state i of its n-state parent after
+    # action j.  On this tree (perfbench's random_tree at T = 4 from
+    # random.Random(3), with its cap utility) a walk that swapped i and j
+    # would trade 0.25 at node 5 and replay to 0.186 against the value 0.195
+    tree = ScenarioTree.load(Path(__file__).parent / "data" / "random-T4-cap.json")
+    u = capped_linear(0.7376356194647841)
+    value, strategy = exact_state_dp(tree, u, 0.0, [k / 4 for k in range(-4, 5)])
+    assert value.hex() == "0x1.8f98ef09b5ffap-3"
+    assert [strategy.trade_at(n) for n in (3, 4, 5, 6)] == [0.25, 0.0, 0.0, 0.25]
+    assert evaluate_strategy(tree, strategy, u, 0.0) == pytest.approx(value, rel=1e-12)
 
 
 # -- affine cash tails -------------------------------------------------------
