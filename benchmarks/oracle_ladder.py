@@ -17,8 +17,11 @@ endowment.  The ``exact_state_dp`` rungs are perfbench's ``random_tree`` under
 its cap utility, both drawn from ``random.Random(1)``, at T = 4 with 41
 actions, T = 5 with 21 and 41 and T = 6 with 9, and ``binomial`` at T = 5
 under ``exp:alpha=1`` with 21 actions, all evenly spaced in [-1, 1].
-``--src`` names the package source to time, so another checkout can be
-measured with this same script::
+The run pins glibc's malloc thresholds first (``_machine.pin_allocator``, as
+``perfbench/run.py`` does), so a rung's time does not depend on what the
+rungs before it left in the heap, and records the allocator in its machine
+block.  ``--src`` names the package source to time, so another checkout can
+be measured with this same script::
 
     python3 benchmarks/oracle_ladder.py --label change
     python3 benchmarks/oracle_ladder.py --label parent --src ../parent/src
@@ -28,13 +31,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import random
 import statistics
 import sys
 import time
 import tracemalloc
 from pathlib import Path
+
+from _machine import machine, pin_allocator
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -94,6 +98,7 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="key of this run in the output file")
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the impactdp package")
     args = ap.parse_args(argv)
+    allocator = pin_allocator()
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
     import numpy as np
     import workloads
@@ -121,12 +126,7 @@ def main(argv=None) -> int:
     doc = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {"runs": {}}
     doc["script"] = "benchmarks/oracle_ladder.py"
     doc["runs"][args.label] = {
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "processor": platform.processor(),
-        },
+        "machine": machine(np.__version__, allocator),
         "repeats": REPEATS,
         "entries": entries,
     }

@@ -20,9 +20,10 @@ split in two stages: it blends the child grid's rows over xi' and zeta' once
 per xi-by-zeta query, for every grid column, and then picks and blends the two
 columns around each x'.  Only the second stage and the utility run over every
 state and trade.  ``solver.exact_state_dp`` scores a date-(T-2) node's trades
-with the same candidate on the node's exact states as flat arrays, through the
-same block path ``_rows`` and scan ``_scan``, so its memory grows with
-|A|^(T-2) for an action set A.
+with the same candidate on the node's exact states as flat arrays, at most
+``_BLOCK`` states at a time, through the same block path ``_rows`` and scan
+``_scan``, so its memory grows with |A|^(T-2) for an action set A and no
+candidate block outgrows ``_BLOCK`` elements.
 
 Under u(w) = -exp(-a*w) cash enters wealth additively, so a value function
 factors exactly as V(xi, zeta, x) = exp(-a*xi) * V(0, zeta, x).  Exponential
@@ -63,12 +64,21 @@ neighbouring states truncate at different bounds.  The scan visits the
 actions in increasing (|h|, sign) order, 0, -d, +d, -2d, +2d, ..., and takes a
 candidate only when it is strictly better, so the first maximum met wins: ties
 go to the smallest trade, then to the sale, and a NaN candidate never wins.
-Both phases take their trades through one block path, ``_rows``: the h = 0
-probe, each round's +-K pair and the scan's actions reach the candidate in
-blocks of max(1, _BLOCK // states) trades, and ``_scan`` then updates the best
-values one trade after another.  A candidate value is the one a call with that
-trade alone gives, so the block size changes the work per call but not a bit
-of the result: a one-point sweep makes one call per round and one for its
+Both phases take their trades through one block path, ``_rows``: h = 0 with
+round 0's +-K pair, each later round's +-K pair and the scan's actions reach
+the candidate in blocks of max(1, _BLOCK // states) trades, on the block's
+leading axis.  ``_scan`` then updates the best values once per block: the
+first maximum of the block's rows that are not NaN, taken where it is
+strictly greater than the best so far, with the bits of the first row that
+reaches it.  A block that improves no state costs one reduction and one
+comparison, which is what most blocks of large trades come to; one that
+improves few states is searched in their columns only, and a block of at
+most ``_ROW_BY_ROW`` rows is read row by row, with fewer NumPy calls and the
+same result.  This one scan also keeps the first maximum of
+``solver.exact_state_dp`` and of both oracles.  A candidate
+value is the one a call with that trade alone gives, so the block size
+changes the work per call but not a bit of the result: a one-point sweep
+makes one call for h = 0 and round 0, one per later round and one for its
 scan, a cash-free 1x21x21 layer takes 37 trades per call, and a grid of more
 than 8192 states, such as a 41x21x21 cap or pwl layer, one.
 """
@@ -101,6 +111,10 @@ U_FLOOR = -1e300
 
 # elements of one candidate call: a block of trades times the swept states
 _BLOCK = 1 << 14
+
+# the most rows of a block that ``_scan`` takes one at a time, which needs
+# fewer NumPy calls than the whole-block update
+_ROW_BY_ROW = 3
 
 # the bound search: first half-width, growth per round and most rounds
 K_START, K_FACTOR, K_ROUNDS = 1.0, 2.0, 40
@@ -219,15 +233,14 @@ def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
     XX = xxg[None, None, :]
     shape = (xg.shape[0], zg.shape[0], xxg.shape[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        (v0,) = _rows(cand, XI, ZE, XX, [0.0])
         big = k0
+        # round 0 always runs, so h = 0 and its +-K pair share a call
+        v0, vp, vm = itertools.chain.from_iterable(_rows(cand, XI, ZE, XX, [0.0, big, -big]))
         active = np.ones(shape, dtype=bool)
         nexp = np.zeros(shape, dtype=np.int64)
         warn = np.zeros(shape, dtype=np.int64)
-        prev_vp = prev_vm = None
         rounds = 0
         while True:
-            vp, vm = _rows(cand, XI, ZE, XX, [big, -big])
             active &= ~((vp <= v0) & (vm <= v0))
             if rounds > 0:
                 flat = active & (vp == prev_vp) & (vm == prev_vm)
@@ -243,39 +256,72 @@ def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
             big = big * kfac
             nexp += active
             rounds += 1
+            vp, vm = itertools.chain.from_iterable(_rows(cand, XI, ZE, XX, [big, -big]))
         m = (n_act - 1) // 2
         hs = symmetric_grid(float(big), n_act)
         # 0, -d, +d, -2d, +2d, ...: the h = 0 row is the search's v0
-        order = np.append(m, m + np.arange(1, m + 1)[:, None] * np.array([-1, 1]))
-        rows = itertools.chain((v0,), _rows(cand, XI, ZE, XX, hs[order[1:]]))
-        best_v, best_i = _scan(rows, order)
+        order = (m + np.arange(1, m + 1)[:, None] * np.array([-1, 1])).ravel()
+        best_v, best_i = _scan(_rows(cand, XI, ZE, XX, hs[order]), order, v0, np.full(shape, m))
     return best_v, hs[best_i], nexp, warn
 
 
 def _rows(cand, XI, ZE, XX, hs):
-    """``cand``'s values at the trades ``hs``, one new row per trade, from
-    calls ``cand(XI, ZE, XX, H)`` of max(1, _BLOCK // states) trades on the
-    leading axis of H; a call's rows are yielded before the next call."""
+    """``cand``'s values at the trades ``hs``, a block per call
+    ``cand(XI, ZE, XX, H)`` of max(1, _BLOCK // states) trades on the leading
+    axis of H and of the block; each block is yielded before the next call."""
     hs = np.asarray(hs, dtype=np.float64)
     states = np.broadcast(XI, ZE, XX)
     size = max(1, _BLOCK // states.size)
     lead = (-1,) + (1,) * states.ndim
     for start in range(0, hs.size, size):
-        yield from cand(XI, ZE, XX, hs[start : start + size].reshape(lead))
+        yield cand(XI, ZE, XX, hs[start : start + size].reshape(lead))
 
 
-def _scan(rows, index):
-    """Per state, the value and ``index`` entry of the row a scan of ``rows``
-    ends on that keeps the first row and after it only a strictly greater one:
-    ties keep the earlier row, a NaN first row stands and a later NaN never
-    wins.  The rows are read one at a time; the first is updated in place."""
-    rows = iter(rows)
-    best_v = next(rows)
-    best_i = np.full(best_v.shape, index[0])
-    for v, i in zip(rows, index[1:]):
-        better = v > best_v
-        np.copyto(best_v, v, where=better)
-        best_i[better] = i
+def _scan(blocks, index, best_v=None, best_i=None):
+    """Per state, the value and ``index`` entry of the row a scan of the rows
+    of ``blocks`` (trades on each block's leading axis) ends on that starts
+    from ``best_v`` and ``best_i`` and takes a row only when it is strictly
+    greater: ties keep the earlier row, a NaN first row stands and a later NaN
+    never wins, and the kept value has the bits of the first row that reaches
+    it, so -0.0 stays ahead of a later 0.0.  Without a start the first row is
+    the start, and the index of row k is ``index[k]``; with one, row k has
+    ``index[k]`` and the start keeps its own.  ``index`` must be an array
+    unless each block is one-dimensional.  The start, or the first row where
+    it is an array, is updated in place.  A block of more than
+    ``_ROW_BY_ROW`` rows is one update: the first maximum of its rows that
+    are not NaN, kept where it is greater, and searched for only in the
+    columns of those states when they are fewer than a quarter."""
+    row = 0
+    for block in blocks:
+        if best_v is None:
+            # the first row itself where it is an array, so no copy is made
+            best_v = block[0] if block.ndim > 1 else np.array(block[0])
+            best_i = np.full(best_v.shape, index[0])
+            block, row = block[1:], 1
+        at, row = row, row + len(block)
+        if len(block) <= _ROW_BY_ROW:
+            for v, i in zip(block, index[at:]):
+                better = v > best_v
+                np.copyto(best_v, v, where=better)
+                best_i[better] = i
+            continue
+        top = np.fmax.reduce(block, axis=0)  # NaN only where the whole block is
+        better = top > best_v
+        n = np.count_nonzero(better)
+        if n == 0:
+            continue
+        # where the block improves few states, only their columns are searched
+        few = block.ndim > 1 and 4 * n < better.size
+        if few:
+            block, top = block[:, better], top[better]
+        first = (block == top).argmax(axis=0)
+        # a value equal to the maximum has its bits, but for the sign of a zero
+        v = top if top.all() else np.take_along_axis(block, first[None], 0)[0]
+        if few:
+            best_v[better], best_i[better] = v, index[first + at]
+        else:
+            np.copyto(best_v, v, where=better)
+            np.copyto(best_i, index[first + at], where=better)
     return best_v, best_i
 
 

@@ -7,8 +7,9 @@ timestamps, so identical inputs give byte-identical outputs.  Exit codes:
 value the replayed strategy does not certify, ``value_gap_ok`` false, or a
 value layer that decreases along the cash axis, ``monotonicity_violations``
 above 0, reported in full all the same; for ``oracle``: results that break
-``oracle.oracles_agree``; for ``check``: any failed check, ``tree-invalid``
-among them, which reports ``"monotone_depth": null``), 2 invalid input (for
+``oracle.oracles_agree``, with each broken property named on stderr; for
+``check``: any failed check, ``tree-invalid`` among them, which reports
+``"monotone_depth": null``), 2 invalid input (for
 ``solve``, ``oracle`` and ``evaluate`` also a tree that fails validation),
 3 numeric failure, 4 enumeration capacity exceeded.
 """
@@ -22,7 +23,7 @@ import sys
 from typing import Sequence
 
 from .analysis import indirect_utility_demo, nonconvexity_demo
-from .oracle import ActionGrid, CapacityError, brute_force_solve, history_dp, oracles_agree
+from .oracle import ActionGrid, CapacityError, brute_force_solve, history_dp, oracle_disagreements
 from .solver import SolveConfig, SolverNumericError, evaluate_strategy, solve
 from .tree import (
     PRESET_NAMES,
@@ -146,7 +147,7 @@ def _cmd_oracle(args) -> int:
     grid = ActionGrid.from_text(args.oracle_grid)
     bf = brute_force_solve(tree, u, args.z, grid)
     hd = history_dp(tree, u, args.z, grid)
-    agree = oracles_agree(tree, u, args.z, bf, hd)
+    broken = oracle_disagreements(tree, u, args.z, bf, hd)
     payload = {
         "command": "oracle",
         "source": source,
@@ -157,11 +158,11 @@ def _cmd_oracle(args) -> int:
         "strategy": bf.strategy.to_report(),
         "enumerated": bf.candidates,
         "recursion_evaluations": hd.candidates,
-        "methods_agree": agree,
+        "methods_agree": not broken,
     }
     _emit_json(payload, args.out)
-    if not agree:
-        print("enumeration and recursion disagree in value or strategy; this is a bug", file=sys.stderr)
+    if broken:
+        print(f"enumeration and recursion disagree: {'; '.join(broken)}; this is a bug", file=sys.stderr)
         return 1
     return 0
 

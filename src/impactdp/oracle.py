@@ -18,10 +18,12 @@ and the walk's arithmetic broadcasts, entry by entry with the floats of a
 walk that plays one history alone.  Brute force gives decision node a the
 axis a of ``tree.decision_ids()`` and keeps every axis, so the root's value,
 read in C order, is every candidate's replay value in enumeration order, at 8
-bytes a candidate; it keeps the first candidate, then only a strictly greater
-value, so a NaN never wins after the first.  ``history_dp`` gives a date-t
-node the axis t and reduces it at the node, so a node's arrays run over its
-ancestors' trades only.
+bytes a candidate.  ``history_dp`` gives a date-t node the axis t and reduces
+it at the node, so a node's arrays run over its ancestors' trades only.  Both
+keep their first maximum with the sweeps' scan, ``_kernels._scan``: brute
+force over its one flat array of scores, which keeps the first candidate, then
+only a strictly greater value, so a NaN never wins after the first, and
+``history_dp`` over each node's own axis, from -inf.
 
 Both oracles, and ``enumerate_strategies``, decide only the free trades at
 dates 0..T-2.  The exact-state walk of the forward pass,
@@ -53,6 +55,7 @@ __all__ = [
     "brute_force_solve",
     "history_dp",
     "oracles_agree",
+    "oracle_disagreements",
 ]
 
 DEFAULT_CAP = 10_000_000
@@ -155,15 +158,6 @@ def _scores(tree: ScenarioTree, u: UtilitySpec, z: float, ids: list, order: list
         return np.ravel(_Walk(tree, u, z, trades).root_value())
 
 
-def _first_max(scores: np.ndarray) -> int:
-    """The index a scan ends on that keeps the first candidate, and after it
-    only a strictly greater value: 0 if ``scores[0]`` is NaN, else the first
-    maximum among the values that are not NaN."""
-    if math.isnan(scores[0]):
-        return 0
-    return int(np.argmax(scores == np.nanmax(scores)))
-
-
 def brute_force_solve(
     tree: ScenarioTree, u: UtilitySpec, z: float, grid: ActionGrid, cap: int = DEFAULT_CAP
 ) -> OracleResult:
@@ -181,12 +175,14 @@ def brute_force_solve(
     ``tree.decision_ids()``, so the root's value is an array with an axis per
     decision node that, read in C order, holds each candidate's score, the
     float a full replay of its strategy gives, in enumeration order.  It
-    takes 8 bytes a candidate, about 80 MB at ``DEFAULT_CAP``.
+    takes 8 bytes a candidate, about 80 MB at ``DEFAULT_CAP``.  The kernels'
+    ``_scan`` keeps its first maximum, as one block of candidates on a single
+    state, with a byte per candidate more while it runs.
     """
     ids, _ = _combos(tree, grid, cap)
     order = sorted(grid.values, key=_tie_key)
     scores = _scores(tree, u, _run_z(u, z), ids, order)
-    i = _first_max(scores)
+    i = int(_kernels._scan([scores], range(scores.size))[1])
     # candidate i trades slot (i // n**(D-1-a)) % n at decision node a
     n, D = len(order), len(ids)
     best = {node: order[i // n ** (D - 1 - a) % n] for a, node in enumerate(ids)}
@@ -199,10 +195,11 @@ class _Search(_Walk):
     in ``_tie_key`` order, on axis t of T-1, so its scores run over every
     trade history above it and over its own trade.  For each history it keeps
     the first trade that beats -inf and every earlier trade (the kernels'
-    ``_scan`` behind a row of -inf), records that trade's slot, or -1 where
-    none does, in ``choice[node id]``, flat over the histories in C order, and
-    returns the kept scores with a size-1 axis t (axis 0 for a one-trade
-    grid, see ``_on_axes``)."""
+    ``_scan`` of axis t, a transposed view with no copy, started at -inf and
+    slot -1), records that trade's slot, or -1 where none does, in
+    ``choice[node id]``, flat over the histories in C order, and returns the
+    kept scores with a size-1 axis t (axis 0 for a one-trade grid, see
+    ``_on_axes``)."""
 
     def __init__(self, tree: ScenarioTree, u: UtilitySpec, z: float, grid: ActionGrid) -> None:
         self.order = sorted(grid.values, key=_tie_key)
@@ -214,12 +211,14 @@ class _Search(_Walk):
     def decide(self, node, rsums, deltas, hs, wealth):
         a = self.axis[node.id]
         scores = super().decide(node, rsums, deltas, hs, wealth)
-        rows = (scores[(slice(None),) * a + (slice(k, k + 1),)] for k in range(len(self.order)))
-        floor = np.full(scores.shape[:a] + (1,) + scores.shape[a + 1 :], -math.inf)
-        best_v, best_k = _kernels._scan(itertools.chain([floor], rows), range(-1, len(self.order)))
+        shape = scores.shape[:a] + scores.shape[a + 1 :]
+        trades_first = scores.transpose(a, *range(a), *range(a + 1, scores.ndim))
+        best_v, best_k = _kernels._scan(
+            [trades_first], np.arange(len(self.order)), np.full(shape, -math.inf), np.full(shape, -1)
+        )
         self.choice[node.id] = best_k.ravel()
         self.evaluations += scores.size
-        return best_v
+        return best_v.reshape(scores.shape[:a] + (1,) + scores.shape[a + 1 :])
 
 
 def history_dp(
@@ -233,10 +232,11 @@ def history_dp(
     subtree value and all arithmetic is shared with enumeration, so the
     returned value (not the strategy) matches ``brute_force_solve`` bit for
     bit, also under exponential utility, where both run at z = 0.  One visit
-    per node decides every trade history at once (``_Search``), so its widest
-    arrays, at dates T-2 and T-1, hold ``len(grid) ** (T - 1)`` floats; a
-    count beyond enumeration's ``DEFAULT_CAP`` raises ``CapacityError``
-    before any work is done.
+    per node decides every trade history at once (``_Search``), keeping each
+    history's first maximum with the kernels' ``_scan`` started at -inf, so
+    its widest arrays, at dates T-2 and T-1, hold ``len(grid) ** (T - 1)``
+    floats; a count beyond enumeration's ``DEFAULT_CAP`` raises
+    ``CapacityError`` before any work is done.
     """
     widest = len(grid) ** max(tree.T - 1, 0)
     if widest > DEFAULT_CAP:
@@ -265,6 +265,22 @@ def oracles_agree(tree: ScenarioTree, u: UtilitySpec, z: float, brute: OracleRes
     equal values, bit for bit, to which each strategy replays exactly through
     ``evaluate_strategy``, and brute force's (|h|, sign) key sequence over the
     decision nodes at most ``history_dp``'s.  The strategies may differ."""
-    replays = [_cara_shift(u, evaluate_strategy(tree, r.strategy, u, _run_z(u, z)), z) for r in (brute, dp)]
+    return not oracle_disagreements(tree, u, z, brute, dp)
+
+
+def oracle_disagreements(
+    tree: ScenarioTree, u: UtilitySpec, z: float, brute: OracleResult, dp: OracleResult
+) -> list[str]:
+    """Each property of ``oracles_agree`` that the two results break, in
+    words; empty when they agree."""
+    broken = []
+    if brute.value.hex() != dp.value.hex():
+        broken.append(f"the values differ (brute force {brute.value!r}, history_dp {dp.value!r})")
+    for name, r in (("brute force", brute), ("history_dp", dp)):
+        replay = _cara_shift(u, evaluate_strategy(tree, r.strategy, u, _run_z(u, z)), z)
+        if replay.hex() != r.value.hex():
+            broken.append(f"{name}'s strategy replays to {replay!r}, not to its value {r.value!r}")
     keys = [[_tie_key(r.strategy.trade_at(i)) for i in tree.decision_ids()] for r in (brute, dp)]
-    return len({float(v).hex() for v in (brute.value, dp.value, *replays)}) == 1 and keys[0] <= keys[1]
+    if not keys[0] <= keys[1]:
+        broken.append("brute force's (|h|, sign) key sequence comes after history_dp's")
+    return broken

@@ -442,8 +442,10 @@ def one_step_optimize(
     dispatch as the grid pass, so the semantics (action set, K expansion,
     tie-break toward small then negative trades) are exactly those of the
     grid pass.  With one state, the kernel's action scan puts every action
-    of the set on its leading axis and evaluates them in one candidate call;
-    only the K search still probes one trade pair per round.  At the last
+    of the set on its leading axis, evaluates them in one candidate call and
+    keeps their first maximum in one block update of ``_kernels._scan``; the
+    K search probes h = 0 and its first trade pair in one call, then one pair
+    per further round.  At the last
     decision date the trade is forced to close the position and no search
     happens.  Under exponential utility the optimal trade depends on neither
     cash nor the endowment z: the node runs at xi = z = 0, as in the grid
@@ -631,12 +633,15 @@ def exact_state_dp(
     hands each node its reachable states as flat arrays, state j * n + i of a
     child being state i of its n-state parent after action j, and scores the
     node when its subtree is done.  A date-(T-2) node scores its trades with
-    ``_kernels.sweep_exact``'s candidate through the kernels' block path, so
-    it never holds all its date-(T-1) states, and its states go once it is
-    scored: memory grows with |A|^(T-2) for the action set A.  An earlier
-    node sums its children's values.  Each keeps the first maximum in
-    ``_tie_key`` order with the sweeps' ``_kernels._scan``, and the strategy
-    walk reads each node's trade at its state's index.
+    ``_kernels.sweep_exact``'s candidate through the kernels' block path, on
+    slices of at most ``_kernels._BLOCK`` of its states, so it never holds all
+    its date-(T-1) states and no candidate block outgrows ``_BLOCK``
+    elements, and its states go once it is scored: memory grows with
+    |A|^(T-2) for the action set A.  An earlier node sums its children's
+    values into one block with the actions on its leading axis.  Each keeps
+    the first maximum in ``_tie_key`` order with the sweeps'
+    ``_kernels._scan``, and the strategy walk reads each node's trade at its
+    state's index.
     """
     acts = [float(a) for a in actions]
     if not acts:
@@ -648,7 +653,7 @@ def exact_state_dp(
     best: dict[int, np.ndarray] = {}
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         states = (np.zeros(1), np.full(1, tree.zeta0), np.zeros(1))
-        root = _exact_score(tree, tree.root, states, acts, closed, best)
+        root = _exact_score(tree, tree.root, states, acts, np.arange(len(acts)), closed, best)
     index = {tree.root.id: 0}  # node id -> the walk's state among the node's states
 
     def pick(node: TreeNode, xi: float, zeta: float, x: float, hs: tuple) -> float:
@@ -662,26 +667,36 @@ def exact_state_dp(
 
 
 def _exact_score(
-    tree: ScenarioTree, node: TreeNode, states: tuple, acts: list, closed: tuple, best: dict
+    tree: ScenarioTree, node: TreeNode, states: tuple, acts: list, index: np.ndarray, closed: tuple, best: dict
 ) -> np.ndarray:
     """``exact_state_dp``'s value of ``node`` at each of its ``states``
     (xi, zeta, x), with the slot of each state's first maximum among
-    ``acts`` put in ``best`` under the node's id, and so for its subtree."""
+    ``acts`` (``index`` holds the slots 0, 1, ...) put in ``best`` under the
+    node's id, and so for its subtree."""
     kids = tree.children(node.id)
     if node.t == tree.T - 2:  # the date-(T-1) states are formed a block at a time
         cont = _kernels._leaf_cont(*_leaves(tree, kids), *closed)
         cand = _kernels._over_children(math.exp(-node.r), *_fields(kids, "p", "P", "delta"), cont)
-        rows = _kernels._rows(cand, *states, acts)
-    else:
-        xi, zeta, x = states
-        H = np.array(acts)[:, None]
-        rows, x1 = 0.0, (x + H).ravel()
-        for child in kids:
-            # state j * n + i of the child is state i of the node after action j
-            xi1, ze1 = transition(xi, zeta, H, abs(H), math.exp(-node.r), child.P, child.delta)
-            value = _exact_score(tree, child, (xi1.ravel(), ze1.ravel(), x1), acts, closed, best)
-            rows = rows + child.p * value.reshape(len(acts), -1)
-    value, best[node.id] = _kernels._scan(rows, range(len(acts)))
+        # at most _BLOCK states a slice, so no candidate block outgrows _BLOCK
+        step = _kernels._BLOCK
+        if states[0].size <= step:
+            value, best[node.id] = _kernels._scan(_kernels._rows(cand, *states, acts), index)
+            return value
+        parts = [
+            _kernels._scan(_kernels._rows(cand, *(s[lo : lo + step] for s in states), acts), index)
+            for lo in range(0, states[0].size, step)
+        ]
+        value, best[node.id] = map(np.concatenate, zip(*parts))
+        return value
+    xi, zeta, x = states
+    H = np.array(acts)[:, None]
+    rows, x1 = 0.0, (x + H).ravel()
+    for child in kids:
+        # state j * n + i of the child is state i of the node after action j
+        xi1, ze1 = transition(xi, zeta, H, abs(H), math.exp(-node.r), child.P, child.delta)
+        value = _exact_score(tree, child, (xi1.ravel(), ze1.ravel(), x1), acts, index, closed, best)
+        rows = rows + child.p * value.reshape(len(acts), -1)
+    value, best[node.id] = _kernels._scan([rows], index)
     return value
 
 

@@ -146,7 +146,12 @@ def test_oracle_exits_1_when_the_methods_disagree(monkeypatch, capsys, field):
     code, payload, err = run_json(capsys, "oracle", "--gen", "binomial")
     assert code == 1
     assert payload["methods_agree"] is False
-    assert "disagree in value or strategy" in err
+    # the broken properties are named: history_dp's strategy never replays
+    # to its planted value, and only the planted value differs from brute force's
+    assert "enumeration and recursion disagree: " in err
+    assert "history_dp's strategy replays to" in err
+    assert ("the values differ" in err) == (field == "value")
+    assert "brute force's" not in err
 
 
 def test_oracle_accepts_strategies_that_rounding_splits(tmp_path, capsys, absorbed_gain_tree):

@@ -1,12 +1,18 @@
-"""Numeric kernels: floored utility, interpolation, bound search, forced layer."""
+"""Numeric kernels: floored utility, interpolation, bound search, first-maximum
+scan, forced layer."""
 
+import importlib
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import impactdp._kernels as K
+from impactdp.solver import solve
+from impactdp.tree import generate, preset
 from impactdp.utility import capped_linear, exponential, piecewise_linear
 
 
@@ -59,6 +65,28 @@ def test_kernel_parameters_keep_their_positions():
     assert names(K.forced_layer) == [
         "xg", "zg", "xxg", "decay", "lp", "lP", "ld", "lB", "ucode", "ua", "uxs", "uys", "z",
     ]
+
+
+def test_the_benchmark_tracer_counts_every_sweep(monkeypatch):
+    # perfbench/tracing.py wraps the sweeps and forced_layer, reads the
+    # arguments pinned above and each sweep's (values, policy, nexp, warn);
+    # a traced solve must run and count every state its sweeps ran on
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    originals = (K.sweep_exact, K.sweep_grid, K.forced_layer)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for u in (exponential(1.0), capped_linear(1.0)):
+            solve(generate(preset("binomial", T=4)), u, 0.0)
+    finally:
+        tracer.uninstall()
+    assert (K.sweep_exact, K.sweep_grid, K.forced_layer) == originals
+    calls = tracer.layer_times()["calls"]
+    assert calls["_kernels.sweep_exact"] > 0 and calls["_kernels.sweep_grid"] > 0
+    counts = tracer.counts
+    assert counts["_kernels.states_swept"] >= calls["_kernels.sweep_exact"] + calls["_kernels.sweep_grid"]
+    assert counts["_kernels.interp_count"] > 0 and counts["_kernels.utility_evals"] > 0
 
 
 # -- floored utility ---------------------------------------------------------
@@ -445,9 +473,64 @@ def test_block_scan_keeps_ties_and_nans_at_every_block_size(monkeypatch):
                 assert g.tobytes() == w.tobytes()
 
 
+def scan_row_at_a_time(rows, index, best_v=None, best_i=None):
+    """The first-maximum scan written out: start from the first row unless a
+    start is given, then take a row only where it is strictly greater."""
+    if best_v is None:
+        best_v, best_i = rows[0], np.full(rows[0].shape, index[0])
+        rows, index = rows[1:], index[1:]
+    for v, i in zip(rows, index):
+        better = v > best_v
+        best_v = np.where(better, v, best_v)
+        best_i = np.where(better, i, best_i)
+    return best_v, best_i
+
+
+SCAN_VALUES = st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0, math.nan, math.inf, -math.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.sampled_from(((), (1,), (3,), (2, 2), (2, 5))),
+    st.data(),
+)
+def test_scan_over_blocks_is_the_row_at_a_time_scan(rows, states, data):
+    # ties, NaN first and later, +-0.0 and +-inf, cut into blocks anywhere,
+    # with and without a start; a 0-d state reads its index from a range, as
+    # brute force does.  Blocks this wide reach NumPy's vector loops, whose
+    # maximum of -0.0 and 0.0 need not have the first one's sign
+    size = rows * math.prod(states)
+    values = np.array(data.draw(st.lists(SCAN_VALUES, min_size=size, max_size=size))).reshape((rows, *states))
+    index = range(10, 10 + rows) if states == () else np.arange(10, 10 + rows)
+    cuts = sorted(data.draw(st.sets(st.integers(1, rows - 1), max_size=rows - 1)) if rows > 1 else set())
+    blocks = np.split(values.copy(), cuts)
+    start = None
+    if data.draw(st.booleans()):
+        v0 = np.array(data.draw(st.lists(SCAN_VALUES, min_size=math.prod(states), max_size=math.prod(states))))
+        start = (v0.reshape(states), np.full(states, -1))
+    want_v, want_i = scan_row_at_a_time(values, index, *(start or ()))
+    got_v, got_i = K._scan(blocks, index, *((a.copy() for a in start) if start else ()))
+    assert np.shape(got_v) == np.shape(got_i) == states
+    assert np.array(got_v).view(np.int64).tolist() == np.array(want_v).view(np.int64).tolist()
+    assert np.array(got_i).tolist() == np.array(want_i).tolist()
+
+
+def test_scan_keeps_the_sign_of_the_first_zero_in_wide_blocks():
+    # NumPy's vector loops may give the maximum of -0.0 and 0.0 the later
+    # one's sign; the scan keeps the first row that reaches the maximum
+    for first, later in ((-0.0, 0.0), (0.0, -0.0)):
+        block = np.full((4, 16), -1.0)
+        block[1], block[2] = first, later
+        for start in (None, (np.full(16, -np.inf), np.full(16, -1))):
+            best_v, best_i = K._scan([block.copy()], np.arange(4), *(start or ()))
+            assert np.signbit(best_v).tolist() == [np.signbit(first)] * 16
+            assert best_i.tolist() == [1] * 16
+
+
 def test_one_point_sweep_scans_every_action_in_one_call():
-    # one call at h = 0, one per bound-search round (nexp + 1 rounds), and one
-    # for the whole action scan
+    # one call for h = 0 and the first bound-search round, one per further
+    # round (nexp + 1 rounds in all), and one for the whole action scan
     calls = []
 
     def counted(XI, ZE, XX, H):
@@ -459,7 +542,9 @@ def test_one_point_sweep_scans_every_action_in_one_call():
             calls.clear()
             _, _, nexp, _ = K._sweep(counted, *(np.array([v]) for v in state), 1.0, 2.0, kmax, n_act)
             rounds = int(nexp[0, 0, 0]) + 1
-            assert len(calls) == rounds + 2
+            # h = 0 shares the first round's call
+            assert calls[0] == (3, 1, 1, 1)
+            assert len(calls) == rounds + 1
             assert calls[-1] == (n_act - 1, 1, 1, 1)
 
 

@@ -298,14 +298,17 @@ FIRST_MAX_CASES = pytest.mark.parametrize(
 
 @FIRST_MAX_CASES
 def test_first_max_is_the_scan_that_keeps_only_strictly_greater(scores, want):
-    assert oracle._first_max(np.array(scores)) == want
+    # brute force's use of the kernels' scan: one flat block of candidates
+    best_v, best_i = _kernels._scan([np.array(scores)], range(len(scores)))
+    assert int(best_i) == want
+    assert float(best_v).hex() == float(scores[want]).hex()
 
 
 @FIRST_MAX_CASES
 def test_kernel_scan_keeps_only_strictly_greater(scores, want):
-    # the sweeps' and exact_state_dp's scan, on one state: row k is candidate k
+    # the sweeps' and exact_state_dp's use, on one state: row k is candidate k
     rows = np.array(scores)[:, None]
-    best_v, best_i = _kernels._scan(rows, range(len(scores)))
+    best_v, best_i = _kernels._scan([rows[:2], rows[2:]], np.arange(len(scores)))
     assert best_i.tolist() == [want]
     assert best_v[0].hex() == float(scores[want]).hex()
 

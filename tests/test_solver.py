@@ -637,6 +637,27 @@ def test_exact_state_dp_bits_do_not_depend_on_the_block_size(monkeypatch, trades
     assert frozen_41_bits() == (FROZEN_41, 0.15)
 
 
+@pytest.mark.parametrize("block", [500, 1000])
+def test_exact_state_dp_scores_a_node_with_more_states_than_a_block_in_slices(monkeypatch, block):
+    # 41**2 = 1681 states at each date-(T-2) node, more than one block holds:
+    # they are scored a slice at a time, and no candidate block outgrows
+    # _BLOCK elements, with the bits of one slice a node
+    monkeypatch.setattr(_kernels, "_BLOCK", 1 << 30)
+    want = frozen_41_bits()
+    assert want == (FROZEN_41, 0.15)
+    rows, sizes = _kernels._rows, []
+
+    def recorded(*args):
+        for rows_block in rows(*args):
+            sizes.append(rows_block.size)
+            yield rows_block
+
+    monkeypatch.setattr(_kernels, "_rows", recorded)
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
+    assert frozen_41_bits() == want
+    assert 0 < max(sizes) <= block
+
+
 def test_exact_state_dp_holds_one_block_of_date_T_minus_1_states():
     # 21**3 states at each date-(T-2) node; all their date-(T-1) states at
     # once took 23 MB
