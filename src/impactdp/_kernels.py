@@ -71,16 +71,15 @@ leading axis.  ``_scan`` then updates the best values once per block: the
 first maximum of the block's rows that are not NaN, taken where it is
 strictly greater than the best so far, with the bits of the first row that
 reaches it.  A block that improves no state costs one reduction and one
-comparison, which is what most blocks of large trades come to; one that
-improves few states is searched in their columns only, and a block of at
-most ``_ROW_BY_ROW`` rows is read row by row, with fewer NumPy calls and the
-same result.  This one scan also keeps the first maximum of
-``solver.exact_state_dp`` and of both oracles.  A candidate
-value is the one a call with that trade alone gives, so the block size
-changes the work per call but not a bit of the result: a one-point sweep
-makes one call for h = 0 and round 0, one per later round and one for its
-scan, a cash-free 1x21x21 layer takes 37 trades per call, and a grid of more
-than 8192 states, such as a 41x21x21 cap or pwl layer, one.
+comparison, which is what most blocks of large trades come to, and a block of
+at most ``_ROW_BY_ROW`` rows is read row by row, with fewer passes over the
+states and the same result.  This one scan also keeps the first maximum of
+``solver.exact_state_dp`` and of both oracles.  A candidate value is the one
+a call with that trade alone gives, so the block size changes the work per
+call but not a bit of the result: a one-point sweep makes one call for h = 0
+and round 0, one per later round and one for its scan, a cash-free 1x21x21
+layer takes 37 trades per call, and a grid of more than 8192 states, such as
+a 41x21x21 cap or pwl layer, one.
 """
 
 from __future__ import annotations
@@ -112,8 +111,9 @@ U_FLOOR = -1e300
 # elements of one candidate call: a block of trades times the swept states
 _BLOCK = 1 << 14
 
-# the most rows of a block that ``_scan`` takes one at a time, which needs
-# fewer NumPy calls than the whole-block update
+# the most rows of a block that ``_scan`` reads one at a time: on blocks of one
+# trade over many states, which grids and exact-DP nodes of more than 8192
+# states give, that is three passes over the states against about ten
 _ROW_BY_ROW = 3
 
 # the bound search: first half-width, growth per round and most rounds
@@ -289,8 +289,7 @@ def _scan(blocks, index, best_v=None, best_i=None):
     unless each block is one-dimensional.  The start, or the first row where
     it is an array, is updated in place.  A block of more than
     ``_ROW_BY_ROW`` rows is one update: the first maximum of its rows that
-    are not NaN, kept where it is greater, and searched for only in the
-    columns of those states when they are fewer than a quarter."""
+    are not NaN, kept where it is greater."""
     row = 0
     for block in blocks:
         if best_v is None:
@@ -307,21 +306,14 @@ def _scan(blocks, index, best_v=None, best_i=None):
             continue
         top = np.fmax.reduce(block, axis=0)  # NaN only where the whole block is
         better = top > best_v
-        n = np.count_nonzero(better)
-        if n == 0:
+        if not np.count_nonzero(better):
             continue
-        # where the block improves few states, only their columns are searched
-        few = block.ndim > 1 and 4 * n < better.size
-        if few:
-            block, top = block[:, better], top[better]
         first = (block == top).argmax(axis=0)
         # a value equal to the maximum has its bits, but for the sign of a zero
-        v = top if top.all() else np.take_along_axis(block, first[None], 0)[0]
-        if few:
-            best_v[better], best_i[better] = v, index[first + at]
-        else:
-            np.copyto(best_v, v, where=better)
-            np.copyto(best_i, index[first + at], where=better)
+        if np.count_nonzero(top) < top.size:
+            top = np.take_along_axis(block, first[None], 0)[0]
+        np.copyto(best_v, top, where=better)
+        np.copyto(best_i, index[first + at], where=better)
     return best_v, best_i
 
 

@@ -653,7 +653,7 @@ def exact_state_dp(
     best: dict[int, np.ndarray] = {}
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         states = (np.zeros(1), np.full(1, tree.zeta0), np.zeros(1))
-        root = _exact_score(tree, tree.root, states, acts, np.arange(len(acts)), closed, best)
+        root = _exact_score(tree, tree.root, states, acts, closed, best)
     index = {tree.root.id: 0}  # node id -> the walk's state among the node's states
 
     def pick(node: TreeNode, xi: float, zeta: float, x: float, hs: tuple) -> float:
@@ -667,36 +667,32 @@ def exact_state_dp(
 
 
 def _exact_score(
-    tree: ScenarioTree, node: TreeNode, states: tuple, acts: list, index: np.ndarray, closed: tuple, best: dict
+    tree: ScenarioTree, node: TreeNode, states: tuple, acts: list, closed: tuple, best: dict
 ) -> np.ndarray:
     """``exact_state_dp``'s value of ``node`` at each of its ``states``
     (xi, zeta, x), with the slot of each state's first maximum among
-    ``acts`` (``index`` holds the slots 0, 1, ...) put in ``best`` under the
-    node's id, and so for its subtree."""
+    ``acts`` put in ``best`` under the node's id, and so for its subtree."""
     kids = tree.children(node.id)
+    xi, zeta, x = states
     if node.t == tree.T - 2:  # the date-(T-1) states are formed a block at a time
         cont = _kernels._leaf_cont(*_leaves(tree, kids), *closed)
         cand = _kernels._over_children(math.exp(-node.r), *_fields(kids, "p", "P", "delta"), cont)
+        index, step = np.arange(len(acts)), _kernels._BLOCK
         # at most _BLOCK states a slice, so no candidate block outgrows _BLOCK
-        step = _kernels._BLOCK
-        if states[0].size <= step:
-            value, best[node.id] = _kernels._scan(_kernels._rows(cand, *states, acts), index)
-            return value
         parts = [
-            _kernels._scan(_kernels._rows(cand, *(s[lo : lo + step] for s in states), acts), index)
-            for lo in range(0, states[0].size, step)
+            _kernels._scan(_kernels._rows(cand, xi[lo : lo + step], zeta[lo : lo + step], x[lo : lo + step], acts), index)
+            for lo in range(0, x.size, step)
         ]
-        value, best[node.id] = map(np.concatenate, zip(*parts))
+        value, best[node.id] = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         return value
-    xi, zeta, x = states
     H = np.array(acts)[:, None]
     rows, x1 = 0.0, (x + H).ravel()
     for child in kids:
         # state j * n + i of the child is state i of the node after action j
         xi1, ze1 = transition(xi, zeta, H, abs(H), math.exp(-node.r), child.P, child.delta)
-        value = _exact_score(tree, child, (xi1.ravel(), ze1.ravel(), x1), acts, index, closed, best)
+        value = _exact_score(tree, child, (xi1.ravel(), ze1.ravel(), x1), acts, closed, best)
         rows = rows + child.p * value.reshape(len(acts), -1)
-    value, best[node.id] = _kernels._scan([rows], index)
+    value, best[node.id] = _kernels._scan([rows], np.arange(len(acts)))
     return value
 
 
