@@ -217,7 +217,7 @@ def symmetric_grid(hi, n):
     return grid
 
 
-def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
+def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act, bound=None):
     """Shared state-vectorized optimizer; ``cand`` maps trades to values.
 
     ``cand`` is called through ``_rows`` on the axes as broadcast views.
@@ -261,8 +261,42 @@ def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act):
         hs = symmetric_grid(float(big), n_act)
         # 0, -d, +d, -2d, +2d, ...: the h = 0 row is the search's v0
         order = (m + np.arange(1, m + 1)[:, None] * np.array([-1, 1])).ravel()
-        best_v, best_i = _scan(_rows(cand, XI, ZE, XX, hs[order]), order, v0, np.full(shape, m))
+        if bound is None:
+            best_v, best_i = _scan(_rows(cand, XI, ZE, XX, hs[order]), order, v0, np.full(shape, m))
+        else:
+            best_v, best_i = _bounded_scan(cand, bound, XI, ZE, XX, hs, order, v0, m)
     return best_v, hs[best_i], nexp, warn
+
+
+def _bounded_scan(cand, bound, XI, ZE, XX, hs, order, v0, m):
+    """``_scan`` of the trades ``hs[order]`` from the start (v0, m), on the
+    states as flat arrays, where a state leaves the scan once ``bound`` at
+    the next trade's |h| is at or below its best so far: no trade still to
+    scan can then be strictly greater, so every state ends on the row the full
+    scan ends on.  The states left after each block go on in blocks of
+    max(1, _BLOCK // states) trades."""
+    shape = v0.shape
+    xi, ze, xx = (np.broadcast_to(a, shape).ravel() for a in (XI, ZE, XX))
+    best_v, best_i = v0.ravel(), np.full(v0.size, m)
+    at = np.arange(v0.size)  # the flat position of each state still scanned
+    bv, bi = best_v, best_i
+    trades = hs[order].reshape(-1, 1)
+    start = 0
+    while start < trades.shape[0]:
+        stop = start + max(1, _BLOCK // at.size)
+        if stop < trades.shape[0]:
+            # a block that ends the scan is scanned without a check
+            keep = ~(bound(xi, ze, xx, abs(trades[start, 0])) <= bv)
+            if np.count_nonzero(keep) < at.size:
+                best_v[at], best_i[at] = bv, bi
+                at, xi, ze, xx, bv, bi = (a[keep] for a in (at, xi, ze, xx, bv, bi))
+                if not at.size:
+                    break
+                stop = start + max(1, _BLOCK // at.size)
+        _scan([cand(xi, ze, xx, trades[start:stop])], order[start:stop], bv, bi)
+        start = stop
+    best_v[at], best_i[at] = bv, bi
+    return best_v.reshape(shape), best_i.reshape(shape)
 
 
 def _rows(cand, XI, ZE, XX, hs):
@@ -364,11 +398,123 @@ def _leaf_cont(cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z):
     return cont
 
 
+def _utility_majorant(ucode, ua, uxs, uys):
+    """A map of wealth W to a value at or above the floored utility that
+    ``_leaf_sum`` computes, in floats, at every wealth w <= W (the kernel's
+    floor included).
+
+    Cap is min(W, cap), whose float value is monotone.  Exponential is
+    -exp(-a*W) raised by 2**-40 of its size, which covers an exp that is off
+    by a few units in the last place.  pwl takes its own formula at and below
+    the first knot.  Above the last knot it takes the largest value any
+    wealth reaches: the largest end of each segment, raised by 2**-46 of
+    |ys[s]| + |ys[s+1]| unless one end is zero, since the segment's blend
+    ys[s]*(1-f) + ys[s+1]*f can round past both ends, whereas with a zero end
+    it is one rounded product and stays within them.  Between the knots it
+    interpolates the knots' running maximum, a nondecreasing majorant of the
+    segments, raised by 2**-44 of the largest |knot value| for the rounding
+    of both interpolations.
+    """
+    if ucode == 0:
+        def majorant(W):
+            return -np.exp(-ua * W) * (1.0 - 2.0**-40)
+
+    elif ucode == 1:
+        def majorant(W):
+            return np.maximum(np.minimum(W, ua), U_FLOOR)
+
+    else:
+        lo, hi = uys[:-1], uys[1:]
+        slop = np.where((lo == 0.0) | (hi == 0.0), 0.0, 2.0**-46 * (abs(lo) + abs(hi)))
+        top = max(uys[0], (np.maximum(lo, hi) + slop).max(initial=-np.inf))
+        run = np.maximum.accumulate(uys)
+        inner = 2.0**-44 * abs(uys).max()
+        x0, y0, xn = uxs[0], uys[0], uxs[-1]
+
+        def majorant(W):
+            v = np.where(W >= xn, top, np.interp(W, uxs, run) + inner)
+            return np.maximum(np.where(W <= x0, y0 + (W - x0), v), U_FLOOR)
+
+    return majorant
+
+
+# the wealth margin of ``_leaf_bound``, per unit of the wealth's absolute terms
+_WEALTH_EPS = 2.0**-42
+
+
+def _leaf_bound(decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z):
+    """``_bounded_scan``'s bound for ``sweep_exact``: at flat states and a
+    trade size r, a value at or above the float candidate of every trade h
+    with |h| >= r.
+
+    With d the node's decay, child c's (P_c, delta_c, d_c) and leaf l's
+    (P_l, delta_l, B_l), and g = x + h, the leaf wealth is
+    psi_l(h) - d_c*|h|*|g|/delta_c, where
+    psi_l(h) = z + xi - B_l - P_c*h - d*zeta*|h| - h^2/delta_c + P_l*g
+    - g^2/delta_l - d_c*d*zeta*|g| is concave in h.  Once psi_l's slopes at
+    +r and -r point inward, its maximum over |h| >= r is the larger of
+    psi_l(+r) and psi_l(-r); before that the wealth bound is +inf.  Each side
+    adds a margin for the rounding of both wealth formulas: _WEALTH_EPS times
+    S, a sum over the wealth's terms in absolute value, each at its largest
+    over the leaves, which also covers the growth of that rounding past r,
+    plus 2*delta_max*(_WEALTH_EPS*L)^2 with L the same for the slope's terms,
+    for a float slope that reads <= 0 where the real one is a little above.
+    The bound is the candidate's own sum, in its own order, of
+    ``_utility_majorant`` at the leaves' wealth bounds; IEEE rounding is monotone,
+    so it is at or above the float candidate.  All leaves are formed at once,
+    one row each.
+    """
+    majorant = _utility_majorant(ucode, ua, uxs, uys)
+    eps = _WEALTH_EPS
+    kid = np.repeat(np.arange(cp.shape[0]), np.diff(goff))  # each leaf's child
+    lP, lB, il = gP[:, None], gB[:, None], (1.0 / gd)[:, None]
+    Pc, ic, dc = cP[:, None], (1.0 / cdelta)[:, None], cdecay[:, None]
+    bmax, pcmax, plmax = abs(gB).max(), abs(cP).max(), abs(gP).max()
+    icmax, ilmax, dmax = ic.max(), il.max(), gd.max()
+
+    def bound(XI, ZE, XX, r):
+        dz = decay * ZE
+        base = z + XI
+        size = abs(z) + abs(XI) + bmax
+        W = inward = None
+        for side in (1.0, -1.0):
+            g = XX + side * r
+            ag = abs(g)
+            gg = g * g
+            sg = side * g
+            # dz times side times the outward slope of |g|
+            kdz = np.where(sg >= 0.0, dz, -dz)
+            S = size + dz * (r + ag) + (plmax + r * icmax) * ag + ilmax * gg + (pcmax + r * icmax) * r
+            L = 2.0 * dz + (2.0 * ilmax + icmax) * ag + (pcmax + plmax + 3.0 * r * icmax)
+            top = base - dz * r + (eps * S + 2.0 * dmax * (eps * L) ** 2)
+            # per child: psi's terms without the leaf's, and the outward slope's
+            A = top - dc * (dz * ag) - (side * r * Pc + r * r * ic)
+            Q = -(side * Pc + 2.0 * r * ic) - (dz + dc * kdz)
+            psi = A[kid] - lB + lP * g - il * gg
+            ok = Q[kid] + side * lP <= (2.0 * il) * sg
+            W = psi if W is None else np.maximum(W, psi)
+            inward = ok if inward is None else inward & ok
+        inward &= dz >= 0.0
+        U = majorant(np.where(inward, W, np.inf))
+        tot = np.zeros(XI.shape)
+        for c in range(cp.shape[0]):
+            acc = np.zeros(XI.shape)
+            for q in range(goff[c], goff[c + 1]):
+                acc += gp[q] * U[q]
+            tot += cp[c] * acc
+        return tot
+
+    return bound
+
+
 def sweep_exact(xg, zg, xxg, decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z, k0, kfac, kmax, n_act):
     """Sweep a node whose children sit at the last decision date, summing
-    their leaves in closed form (``_leaf_cont``)."""
+    their leaves in closed form (``_leaf_cont``).  The action scan drops a
+    state once ``_leaf_bound`` shows that no trade still to scan beats its
+    best (``_bounded_scan``)."""
     cont = _leaf_cont(cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z)
-    return _sweep(_over_children(decay, cp, cP, cdelta, cont), xg, zg, xxg, k0, kfac, kmax, n_act)
+    bound = _leaf_bound(decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, uxs, uys, z)
+    return _sweep(_over_children(decay, cp, cP, cdelta, cont), xg, zg, xxg, k0, kfac, kmax, n_act, bound)
 
 
 def sweep_grid(xg, zg, xxg, decay, cp, cP, cdelta, grids, gxi, gze, gxx, k0, kfac, kmax, n_act, alpha=None):

@@ -1,5 +1,5 @@
 """Numeric kernels: floored utility, interpolation, bound search, first-maximum
-scan, forced layer."""
+scan, the bounded action scan of exact sweeps, forced layer."""
 
 import importlib
 import inspect
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import impactdp._kernels as K
-from impactdp.solver import solve
+from impactdp.solver import backward_induce, solve
 from impactdp.tree import generate, preset
 from impactdp.utility import capped_linear, exponential, piecewise_linear
 
@@ -618,6 +618,143 @@ def test_bound_search_stops_on_frozen_boundary_probes():
     # the scan still finds the genuinely best reachable short position
     assert values[0, 0, 0] > 0.0
     assert policy[0, 0, 0] < 0.0
+
+
+# -- bounded action scan -----------------------------------------------------
+
+
+@st.composite
+def exact_nodes(draw):
+    """A date-(T-2) node as ``sweep_exact`` takes it: the node's decay, its
+    children's (p, P, delta, decay) and their leaves' (p, P, delta, B), the
+    utility's kernel encoding and the endowment z != 0."""
+    unit = st.floats(0.05, 1.0)
+    kids = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=kids, max_size=kids))
+    leaves = sum(sizes)
+
+    def arr(strategy, n):
+        return np.array(draw(st.lists(strategy, min_size=n, max_size=n)))
+
+    node = (
+        math.exp(-draw(st.floats(0.0, 1.0))),
+        arr(unit, kids), arr(st.floats(-3.0, 3.0), kids), arr(st.floats(0.05, 20.0), kids),
+        np.exp(-arr(st.floats(0.0, 1.0), kids)), np.cumsum([0] + sizes),
+        arr(unit, leaves), arr(st.floats(-3.0, 3.0), leaves), arr(st.floats(0.05, 20.0), leaves),
+        arr(st.floats(-2.0, 2.0), leaves),
+    )
+    family = draw(st.sampled_from(("exp", "cap", "pwl", "pwl-shapes")))
+    if family == "exp":
+        u = exponential(draw(st.floats(0.01, 5.0)))
+    elif family == "cap":
+        u = capped_linear(draw(st.floats(-5.0, 5.0)))
+    elif family == "pwl":
+        xs = sorted(draw(st.sets(st.floats(-50.0, 50.0), min_size=1, max_size=5)))
+        # few distinct values, so flat and falling segments come up
+        ys = draw(st.lists(st.sampled_from((-1.0, 0.0, 0.3, 0.7, 1.0)), min_size=len(xs), max_size=len(xs)))
+        u = piecewise_linear(zip(xs, ys))
+    else:
+        u = piecewise_linear(draw(st.sampled_from((
+            [(-1.0, -1.0), (0.0, 0.0), (1.0, 0.5)],
+            # a falling segment, then a flat one
+            [(-2.0, -1.5), (-1.0, 0.7), (0.5, 0.3), (1.0, 0.3), (2.0, 0.9)],
+            [(-1.0, -1.0), (0.3, 0.6), (1.2, 0.6)],
+        ))))
+    z = draw(st.floats(0.01, 5.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    return node, u.kernel_encoding(), z
+
+
+def exact_candidate(node, enc, z):
+    decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB = node
+    return K._over_children(decay, cp, cP, cdelta, K._leaf_cont(cdecay, goff, gp, gP, gd, gB, *enc, z))
+
+
+@settings(max_examples=400, deadline=None)
+@given(exact_nodes(), st.floats(0.01, 8.0), st.integers(0, 2**32 - 1))
+def test_leaf_bound_is_at_or_above_every_candidate_past_r(problem, r, seed):
+    # at states with |xi| up to 2000, zeta up to 60 and |x| up to 8, the bound
+    # at r is at or above the float candidate of every trade with |h| >= r,
+    # at r itself, just past it and far out.  At x = -r and x = r one side
+    # closes at g = 0, where the wealth is psi_l itself and only the margin
+    # covers the rounding; a negative zeta (no grid has one) makes psi_l
+    # convex, and the bound must fall back to the utility's top
+    node, enc, z = problem
+    rng = np.random.default_rng(seed)
+    n = 24
+    XI = rng.uniform(-2000.0, 2000.0, n) * rng.choice([1.0, 1e-3, 1e-6], n)
+    ZE = rng.uniform(0.0, 60.0, n) * rng.choice([1.0, 1e-3, 0.0, -1.0], n)
+    XX = np.concatenate([rng.uniform(-8.0, 8.0, n - 8), np.full(4, -r), np.full(4, r)])
+    scale = np.array([1.0, 1.0 + 2.0**-50, 1.0 + 1e-9, 1.001, 1.1, 1.5, 2.0, 3.0, 8.0, 40.0, 1e3])
+    H = np.concatenate([r * scale, -r * scale, r + rng.uniform(0.0, 10.0, 8), -r - rng.uniform(0.0, 10.0, 8)])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        values = exact_candidate(node, enc, z)(XI, ZE, XX, H[:, None])
+        bound = K._leaf_bound(*node, *enc, z)(XI, ZE, XX, r)
+    assert not np.isnan(bound).any()
+    assert np.all(values <= bound), (values.max(axis=0) - bound).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_nodes(), st.sampled_from((9, 41, 201)))
+def test_bounded_scan_gives_the_full_scan_bytes(problem, n_act):
+    # sweep_exact, with states leaving the scan, against today's scan of the
+    # grid and against the flat scan with the bound forced to +inf, with 1 to
+    # all trades per block
+    node, enc, z = problem
+    xg = np.linspace(-6.0, 3.0, 7) + z
+    zg = np.linspace(0.0, 3.0, 4)
+    xxg = np.linspace(-3.0, 3.0, 5)
+    states = xg.size * zg.size * xxg.size
+    args = (xg, zg, xxg, *node, *enc, z, 0.5, 2.0, 6, n_act)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        want = K._sweep(exact_candidate(node, enc, z), xg, zg, xxg, 0.5, 2.0, 6, n_act)
+    with pytest.MonkeyPatch.context() as mp:
+        for size in (1, 3, 17, n_act):
+            mp.setattr(K, "_BLOCK", size * states)
+            for unbounded in (False, True):
+                if unbounded:
+                    mp.setattr(K, "_leaf_bound", lambda *a: lambda XI, ZE, XX, r: np.full(XI.shape, np.inf))
+                got = K.sweep_exact(*args)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and g.dtype == w.dtype
+                    assert g.tobytes() == w.tobytes()
+            mp.undo()
+
+
+def test_bounded_scan_skips_most_date_t2_candidates(monkeypatch):
+    # binomial T = 4: the backward pass's date-(T-2) sweeps form at most 40 %
+    # of the candidate values they form with the bound forced to +inf
+    tree = generate(preset("binomial", T=4))
+    over, sweep, bound = K._over_children, K.sweep_exact, K._leaf_bound
+    formed = [0]
+    inside = [False]
+
+    def spy(*args):
+        cand = over(*args)
+
+        def counted(XI, ZE, XX, H):
+            values = cand(XI, ZE, XX, H)
+            formed[0] += values.size * inside[0]
+            return values
+
+        return counted
+
+    def flagged(*args):
+        inside[0] = True
+        try:
+            return sweep(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(K, "_over_children", spy)
+    monkeypatch.setattr(K, "sweep_exact", flagged)
+    for u in (exponential(1.0), capped_linear(1.0)):
+        counts = []
+        for leaf_bound in (bound, lambda *a: lambda XI, ZE, XX, r: np.full(XI.shape, np.inf)):
+            monkeypatch.setattr(K, "_leaf_bound", leaf_bound)
+            formed[0] = 0
+            backward_induce(tree, u, 0.0)
+            counts.append(formed[0])
+        assert counts[0] <= 0.4 * counts[1], (u.family, counts)
 
 
 def test_forced_layer_matches_hand_loop():
