@@ -1,14 +1,14 @@
 """Time the exhaustive oracles and the exact DP on a ladder of trees and action grids.
 
 For each rung, ``brute_force_solve`` and ``history_dp`` run once to warm up,
-then ``REPEATS`` times under ``time.perf_counter``, then once more under
+then ``--repeats`` times under ``time.perf_counter``, then once more under
 ``tracemalloc``.  An entry records the candidate count (``candidates`` of the
-result), the median and every wall time, the ``tracemalloc`` peak in bytes
-and per candidate, and the value as ``float.hex``.  The ``exact_state_dp``
-rungs run the same way, and their entries record the action count in place of
-the candidates.  The entries go to ``benchmarks/BENCH_oracles.json`` under
-``--label``; entries of other labels stay, so one file holds the runs of two
-versions side by side.
+result), the median, the minimum and every wall time, the ``tracemalloc``
+peak in bytes and per candidate, and the value as ``float.hex``.  The
+``exact_state_dp`` rungs run the same way, and their entries record the
+action count in place of the candidates.  The entries go to ``--out``
+(``benchmarks/BENCH_oracles.json`` by default) under ``--label``; entries of
+other labels stay, so one file holds the runs of two versions side by side.
 
 The oracle rungs are ``binomial`` at T = 4 under ``cap:cap=1`` on 3, 5 and 7
 evenly spaced actions in [-1, 1], and the ``random-cap`` and ``lattice-exp``
@@ -43,7 +43,7 @@ from _machine import machine, pin_allocator
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "BENCH_oracles.json"
-REPEATS = 5
+REPEATS = 15
 
 
 def _rungs(workloads, oracle, tree_mod, utility):
@@ -76,11 +76,11 @@ def _exact_rungs(workloads, tree_mod, utility):
     yield "binomial-T5 exp:alpha=1 21 actions", binomial, utility.exponential(1.0), workloads.Z, _even(21)
 
 
-def _measure(fn, args) -> tuple:
+def _measure(fn, args, repeats) -> tuple:
     """The result of ``fn(*args)``, its wall times and its ``tracemalloc`` peak."""
     result = fn(*args)
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         fn(*args)
         times.append(time.perf_counter() - start)
@@ -90,13 +90,15 @@ def _measure(fn, args) -> tuple:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, {"median_s": statistics.median(times), "times_s": times, "peak_bytes": peak}
+    return result, {"median_s": statistics.median(times), "min_s": min(times), "times_s": times, "peak_bytes": peak}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="key of this run in the output file")
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the impactdp package")
+    ap.add_argument("--repeats", type=int, default=REPEATS, help="timed calls per rung")
+    ap.add_argument("--out", type=Path, default=OUT, help="the JSON file the entries go to")
     args = ap.parse_args(argv)
     allocator = pin_allocator()
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
@@ -108,29 +110,29 @@ def main(argv=None) -> int:
 
     def record(entry):
         count = entry.get("candidates", entry.get("actions"))
-        print(f"{entry['rung']:48s} {entry['oracle']:18s} {count:>8d} {entry['median_s']:9.4f} s "
+        print(f"{entry['rung']:48s} {entry['oracle']:18s} {count:>8d} {entry['median_s']:9.4f} {entry['min_s']:9.4f} s "
               f"{entry['peak_bytes'] / 1e6:8.2f} MB {entry['value']}", flush=True)
         entries.append(entry)
 
     for name, t, u, z, grid in _rungs(workloads, oracle, tree, utility):
         for fn in (oracle.brute_force_solve, oracle.history_dp):
-            result, timing = _measure(fn, (t, u, z, grid))
+            result, timing = _measure(fn, (t, u, z, grid), args.repeats)
             record({
                 "rung": name, "oracle": fn.__name__, "candidates": result.candidates, **timing,
                 "peak_bytes_per_candidate": timing["peak_bytes"] / result.candidates,
                 "value": float(result.value).hex(),
             })
     for name, t, u, z, acts in _exact_rungs(workloads, tree, utility):
-        (value, _), timing = _measure(solver.exact_state_dp, (t, u, z, acts))
+        (value, _), timing = _measure(solver.exact_state_dp, (t, u, z, acts), args.repeats)
         record({"rung": name, "oracle": "exact_state_dp", "actions": len(acts), **timing, "value": float(value).hex()})
-    doc = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {"runs": {}}
+    doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {"runs": {}}
     doc["script"] = "benchmarks/oracle_ladder.py"
     doc["runs"][args.label] = {
         "machine": machine(np.__version__, allocator),
-        "repeats": REPEATS,
+        "repeats": args.repeats,
         "entries": entries,
     }
-    OUT.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

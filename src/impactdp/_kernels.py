@@ -80,6 +80,29 @@ call but not a bit of the result: a one-point sweep makes one call for h = 0
 and round 0, one per later round and one for its scan, a cash-free 1x21x21
 layer takes 37 trades per call, and a grid of more than 8192 states, such as
 a 41x21x21 cap or pwl layer, one.
+
+The action scan of ``sweep_exact`` is bounded (``_bounded_scan``).  Before
+each block that does not end the scan, ``_leaf_bound`` gives every state a
+value at or above its candidate at every trade still to scan, all of which
+have |h| at least the next trade's r, and a state whose bound is at or below
+its best so far leaves the scan: under the strictly-greater rule no later
+trade could replace its best.  The states left go on as flat arrays, in
+blocks of max(1, _BLOCK // states) trades, so a one-point sweep, whose scan is
+one block, makes no check.  The bound drops the one term of the leaf wealth
+that is not concave in h, -d_c*|h|*|x+h|/delta_c, which is never positive.
+What remains, psi, is concave in h, so once its slopes at +-r point inward
+its largest value over |h| >= r is at +r or -r.  The bound is the candidate's
+own probability-weighted sum, in its own order, of a majorant of the floored
+utility (``_utility_majorant``) at each leaf's largest psi plus a margin.
+IEEE rounding is monotone, so a float sum of products with positive weights,
+formed in the same order from terms no smaller, is no smaller.  The bound is
+therefore at or above every float candidate as long as the margin covers the
+rounding of both wealth formulas (``_WEALTH_EPS`` times the wealth's terms in
+absolute value) and the majorant covers the utility's: exact for cap, a
+relative 2**-40 for exp, and for pwl a slop only where a segment's blend can
+round past its ends.  The margin is on the wealth, not on the value, so a
+state whose leaves all sit at the utility's top still leaves the scan.  Grid
+sweeps keep the plain scan, since an interpolated child has no such bound.
 """
 
 from __future__ import annotations
@@ -226,7 +249,9 @@ def _sweep(cand, xg, zg, xxg, k0, kfac, kmax, n_act, bound=None):
     built from the layer-wide maximum bound.  A state still searching in round
     n probes +-k0 * kfac**n, the same bound for every such state, so each
     round is one pair of trades; the values of states that already stopped
-    are not read.
+    are not read.  With ``bound`` (``sweep_exact``'s ``_leaf_bound``) the
+    scan is ``_bounded_scan``, which drops a state once no trade still to
+    scan can beat its best, with the same result.
     """
     XI = xg[:, None, None]
     ZE = zg[None, :, None]
