@@ -507,13 +507,13 @@ def _leaf_bound(decay, cp, cP, cdelta, cdecay, goff, gp, gP, gd, gB, ucode, ua, 
             ag = abs(g)
             gg = g * g
             sg = side * g
-            # dz times side times the outward slope of |g|
+            # dz times the rate at which |g| grows as |h| grows on this side
             kdz = np.where(sg >= 0.0, dz, -dz)
             S = size + dz * (r + ag) + (plmax + r * icmax) * ag + ilmax * gg + (pcmax + r * icmax) * r
             L = 2.0 * dz + (2.0 * ilmax + icmax) * ag + (pcmax + plmax + 3.0 * r * icmax)
-            top = base - dz * r + (eps * S + 2.0 * dmax * (eps * L) ** 2)
+            shared = base - dz * r + (eps * S + 2.0 * dmax * (eps * L) ** 2)
             # per child: psi's terms without the leaf's, and the outward slope's
-            A = top - dc * (dz * ag) - (side * r * Pc + r * r * ic)
+            A = shared - dc * (dz * ag) - (side * r * Pc + r * r * ic)
             Q = -(side * Pc + 2.0 * r * ic) - (dz + dc * kdz)
             psi = A[kid] - lB + lP * g - il * gg
             ok = Q[kid] + side * lP <= (2.0 * il) * sg
